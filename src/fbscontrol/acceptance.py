@@ -64,7 +64,7 @@ class AcceptanceSession:
         self.paths = paths
         self.steps = steps
         self.picard = PicardOpts(basis=BasisSpec(2))
-        self.adj_opts = AdjointOpts(basis_degree=2)
+        self.adj_opts = AdjointOpts()
 
     # -- shared stacks -----------------------------------------------------
     @cached_property
@@ -137,7 +137,7 @@ class AcceptanceSession:
         adj2 = solve_second_order_adjoint(bench.spec, sol, adj1, self.adj_opts)
         spike = SpikeSpec(0.25, 0.125, 0.0)
         delta = solve_delta(bench.spec, sol, adj1, spike)
-        var = simulate_variations(bench.spec, sol, adj1, adj2, spike, delta, self.adj_opts)
+        var = simulate_variations(bench.spec, sol, adj1, adj2, spike, delta)
         r1 = float(np.abs(var.res_y1.scalar()).mean(axis=0).max())
         r2 = float(np.abs(var.res_y2.scalar()).mean(axis=0).max())
         return r1, r2
@@ -366,7 +366,7 @@ class AcceptanceSession:
         sol, adj1, adj2 = self.lq_stack
         spike = SpikeSpec(SPIKE_AT, 0.125, 1.0)
         delta = solve_delta(self.lq.spec, sol, adj1, spike)
-        yh = solve_yhat(self.lq.spec, sol, adj1, adj2, spike, delta, self.adj_opts)
+        yh = solve_yhat(self.lq.spec, sol, adj1, adj2, spike, delta)
         diff = abs(yh.y0_bsde - yh.y0_rep)
         tol = 3.0 * np.hypot(yh.y0_bsde_se, yh.y0_rep_se)
         ok = diff <= max(tol, 1e-12)

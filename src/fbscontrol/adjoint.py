@@ -10,15 +10,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._frame import RefFrame
-from .errors import InvertibilityError, NoConvergenceError
-from .fbsde import FbsdeSolution
+from .errors import InvertibilityError
+from .fbsde import FbsdeSolution, _dot, _solve_first_order
 from .paths import ProcessPanel
-from .regression import NodeBasis
+from .regression import _backward_regression, _fixed_point
 
 
 @dataclass
 class AdjointOpts:
-    basis_degree: int = 2
+    """Per-node guards; the basis degree is the Picard solve's."""
+
     c_min: float = 0.1
     fp_tol: float = 1e-12
     fp_max: int = 20
@@ -87,94 +88,22 @@ class YhatSolution:
     gamma: GammaProcess
 
 
-def _dot(a, b):
-    return np.einsum("mi,mi->m", a, b)
-
-
-def _k1_formula(parts, p, q, c_min, where):
-    mbar = 1.0 - _dot(p, parts["sz"])
-    mm = float(np.abs(mbar).min())
-    if mm < c_min:
-        raise InvertibilityError(mm, c_min, where=where)
-    k1 = (np.einsum("mji,mj->mi", parts["sx"], p)
-          + _dot(p, parts["sy"])[:, None] * p + q) / mbar[:, None]
-    return k1, mbar, mm
-
-
-def _p_driver(parts, p, q, k1):
-    """Generator of the first-order adjoint backward equation."""
-    return (parts["gx"] + parts["gy"][:, None] * p + parts["gz"][:, None] * k1
-            + np.einsum("mji,mj->mi", parts["bx"], p)
-            + _dot(p, parts["by"])[:, None] * p
-            + _dot(p, parts["bz"])[:, None] * k1
-            + np.einsum("mji,mj->mi", parts["sx"], q)
-            + _dot(q, parts["sy"])[:, None] * p
-            + _dot(q, parts["sz"])[:, None] * k1)
-
-
 def solve_first_order_adjoint(spec, sol: FbsdeSolution, control,
                               opts: AdjointOpts = None) -> FirstOrderAdjoint:
-    """Backward regression solve of the (p, q) pair with terminal phi_x(X_T).
-
-    At each node q is the centered martingale projection and p solves
-    p = E_i[p_{i+1}] + G(p, q, K1(p, q)) dt. When sigma has no z-dependence at
-    the node the K1 formula is explicit and a single evaluation at the
-    regressed mean is used; otherwise p and K1 are resolved jointly by a fixed
-    point (tolerance opts.fp_tol, cap opts.fp_max).
-    """
+    """Backward regression solve of the (p, q) pair with terminal phi_x(X_T) on
+    the Picard solve's node bases: one explicit step per node where sigma has
+    no z-dependence, otherwise a fixed point jointly with K1 (tolerance
+    opts.fp_tol, cap opts.fp_max)."""
     if opts is None:
         opts = AdjointOpts()
     frame = RefFrame.along(spec, sol, control)
     grid = sol.X.grid
-    M, N, n = frame.M, grid.N, spec.n
-    dt = grid.dt
-    dB = sol.bundle.dB
-
-    p = np.empty((M, N + 1, n))
-    q = np.zeros((M, N + 1, n))
-    p[:, N] = spec.phi.dx(frame.X[:, N])
-    margin = np.inf
-    max_iters = 0
-    ridge_nodes = []
-
-    for i in range(N - 1, -1, -1):
-        parts = frame.first(i)
-        nb = NodeBasis(frame.X[:, i], opts.basis_degree)
-        if nb.ridge_used:
-            ridge_nodes.append(i)
-        m_next = nb.fit(p[:, i + 1])
-        qv = nb.fit((p[:, i + 1] - m_next) * (dB[:, i] / dt)[:, None])
-        sz_free = float(np.abs(parts["sz"]).max()) == 0.0
-        if sz_free:
-            k1, _, mm = _k1_formula(parts, m_next, qv, opts.c_min, f"adjoint node {i}")
-            pv = m_next + _p_driver(parts, m_next, qv, k1) * dt
-            iters = 1
-        else:
-            pv = m_next
-            for iters in range(1, opts.fp_max + 1):
-                k1, _, mm = _k1_formula(parts, pv, qv, opts.c_min, f"adjoint node {i}")
-                p_new = m_next + _p_driver(parts, pv, qv, k1) * dt
-                if np.max(np.abs(p_new - pv)) <= opts.fp_tol * (1.0 + np.max(np.abs(p_new))):
-                    pv = p_new
-                    break
-                pv = p_new
-            else:
-                raise NoConvergenceError("first-order adjoint fixed point",
-                                         np.max(np.abs(p_new - pv)), detail=f"node {i}")
-        margin = min(margin, mm)
-        max_iters = max(max_iters, iters)
-        p[:, i], q[:, i] = pv, qv
-    q[:, N] = q[:, N - 1]
-
-    K1 = np.empty_like(p)
-    for i in range(N + 1):
-        parts = frame.first(i)
-        K1[:, i], _, mm = _k1_formula(parts, p[:, i], q[:, i], opts.c_min, f"adjoint node {i}")
-        margin = min(margin, mm)
-
+    p, q, K1, margin, max_iters = _solve_first_order(
+        sol.bases.__getitem__, spec.phi.dx(frame.X[:, grid.N]), sol.bundle.dB, grid.dt,
+        frame.first, opts.c_min, opts.fp_tol, opts.fp_max)
     return FirstOrderAdjoint(
         ProcessPanel(p, grid, "p"), ProcessPanel(q, grid, "q"), ProcessPanel(K1, grid, "K1"),
-        float(margin), opts.c_min, float(np.abs(q).max()), max_iters, ridge_nodes, frame,
+        float(margin), opts.c_min, float(np.abs(q).max()), max_iters, list(sol.ridge_nodes), frame,
     )
 
 
@@ -194,6 +123,13 @@ def _assemble_hessian(n, hxx, hxy, hxz, hyy, hyz, hzz):
     return H
 
 
+def _hessian(sec, tag, n, comp=None):
+    """D^2 over (x, y, z) of the scalar coefficient ``tag``, or of component
+    ``comp`` of a vector one."""
+    return _assemble_hessian(n, *(sec[tag + d] if comp is None else sec[tag + d][:, comp]
+                                  for d in ("xx", "xy", "xz", "yy", "yz", "zz")))
+
+
 def _weighted_hessian(sec, tag, weights, n):
     """sum_i w_i D^2 psi^i for a vector coefficient psi (weights (M, n))."""
     w = weights
@@ -210,9 +146,8 @@ def _weighted_hessian(sec, tag, weights, n):
 
 def hamiltonian_hessian(sec, p, q, n):
     """D^2 H = D^2 g + sum_i p_i D^2 b^i + sum_i q_i D^2 sigma^i over (x, y, z)."""
-    Hg = _assemble_hessian(n, sec["gxx"], sec["gxy"], sec["gxz"],
-                           sec["gyy"], sec["gyz"], sec["gzz"])
-    return Hg + _weighted_hessian(sec, "b", p, n) + _weighted_hessian(sec, "s", q, n)
+    return (_hessian(sec, "g", n) + _weighted_hessian(sec, "b", p, n)
+            + _weighted_hessian(sec, "s", q, n))
 
 
 def h_partials(frame: RefFrame, p, q):
@@ -229,7 +164,8 @@ def h_partials(frame: RefFrame, p, q):
 
 def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
                                opts: AdjointOpts = None) -> SecondOrderAdjoint:
-    """Backward regression solve of the matrix-valued second-order adjoint.
+    """Backward regression solve of the matrix-valued second-order adjoint, on
+    the Picard solve's node bases.
 
     The generator combines the linearized drift/diffusion maps contracted with
     (I, p, K1), the full Hamiltonian Hessian, and the K2 closure; P is
@@ -246,12 +182,8 @@ def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint
     pv_all, qv_all, k1_all = adj1.p_values, adj1.q_values, adj1.k1_values
     Hy, Hz = h_partials(frame, pv_all, qv_all)
 
-    P = np.empty((M, N + 1, n, n))
-    Q = np.zeros((M, N + 1, n, n))
-    P[:, N] = spec.phi.dxx(frame.X[:, N])
     K2 = np.zeros((M, N + 1, n, n))
     max_iters = 0
-    ridge_nodes = []
 
     def node_pieces(i):
         parts = frame.first(i)
@@ -289,36 +221,29 @@ def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint
                 + np.einsum("mji,mjk->mik", S, Qv)
                 + quad + Hz[:, i, None, None] * k2), k2
 
-    for i in range(N - 1, -1, -1):
-        nb = NodeBasis(frame.X[:, i], opts.basis_degree)
-        if nb.ridge_used:
-            ridge_nodes.append(i)
-        flat_next = P[:, i + 1].reshape(M, n * n)
-        m_next = nb.fit(flat_next)
-        Qv = nb.fit((flat_next - m_next) * (dB[:, i] / dt)[:, None]).reshape(M, n, n)
-        m_next = m_next.reshape(M, n, n)
+    def node(i, nb, P_next, m, Qv):
+        nonlocal max_iters
         pieces = node_pieces(i)
-        Pv = m_next
-        for iters in range(1, opts.fp_max + 1):
+        k2 = None
+
+        def step(Pv):
+            nonlocal k2
             drv, k2 = driver(Pv, Qv, pieces, i)
-            P_new = m_next + drv * dt
-            P_new = 0.5 * (P_new + P_new.transpose(0, 2, 1))
-            if np.max(np.abs(P_new - Pv)) <= opts.fp_tol * (1.0 + np.max(np.abs(P_new))):
-                Pv = P_new
-                break
-            Pv = P_new
-        else:
-            raise NoConvergenceError("second-order adjoint fixed point",
-                                     np.max(np.abs(P_new - Pv)), detail=f"node {i}")
+            P_new = m + drv * dt
+            return 0.5 * (P_new + P_new.transpose(0, 2, 1))
+
+        Pv, iters = _fixed_point(step, m, opts.fp_tol, opts.fp_max,
+                                 "second-order adjoint fixed point", i)
         max_iters = max(max_iters, iters)
-        P[:, i], Q[:, i] = Pv, Qv
         K2[:, i] = k2
-    Q[:, N] = Q[:, N - 1]
+        return Pv
+
+    P, Q, _ = _backward_regression(sol.bases.__getitem__, spec.phi.dxx(frame.X[:, N]), dB, dt, node)
     K2[:, N] = k2_of(P[:, N], Q[:, N], node_pieces(N))
 
     return SecondOrderAdjoint(
         ProcessPanel(P, grid, "P"), ProcessPanel(Q, grid, "Q"), ProcessPanel(K2, grid, "K2"),
-        Hy, Hz, max_iters, ridge_nodes,
+        Hy, Hz, max_iters, list(sol.ridge_nodes),
     )
 
 
@@ -341,19 +266,22 @@ def aux_coefficients(frame: RefFrame, adj1: FirstOrderAdjoint, Hy, Hz):
     return a_y, a_z
 
 
-def solve_gamma(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint) -> GammaProcess:
-    """Forward log-space Euler integration of the linear exponential-weight SDE;
-    positivity is structural because the log is integrated."""
-    frame = adj1.frame
-    grid = sol.X.grid
-    dt, dB = grid.dt, sol.bundle.dB
-    Hy, Hz = h_partials(frame, adj1.p_values, adj1.q_values)
-    a, c = aux_coefficients(frame, adj1, Hy, Hz)
-    M, N = frame.M, grid.N
+def _weight_process(a, c, grid, dB) -> GammaProcess:
+    """Forward log-space Euler integration of d gamma = gamma (a dt + c dB),
+    gamma_0 = 1; positivity is structural because the log is integrated."""
+    M, N, dt = a.shape[0], grid.N, grid.dt
     logg = np.zeros((M, N + 1))
     for i in range(N):
         logg[:, i + 1] = logg[:, i] + (a[:, i] - 0.5 * c[:, i] ** 2) * dt + c[:, i] * dB[:, i]
     return GammaProcess(ProcessPanel(np.exp(logg), grid, "gamma"), a, c)
+
+
+def solve_gamma(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint) -> GammaProcess:
+    """The positive exponential weight process with the auxiliary coefficients
+    (a_y, a_z) as drift and diffusion."""
+    Hy, Hz = h_partials(adj1.frame, adj1.p_values, adj1.q_values)
+    a, c = aux_coefficients(adj1.frame, adj1, Hy, Hz)
+    return _weight_process(a, c, sol.X.grid, sol.bundle.dB)
 
 
 def spiked_forcing(frame: RefFrame, adj1: FirstOrderAdjoint, adj2: SecondOrderAdjoint,
@@ -378,38 +306,30 @@ def spiked_forcing(frame: RefFrame, adj1: FirstOrderAdjoint, adj2: SecondOrderAd
 
 
 def solve_yhat(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
-               adj2: SecondOrderAdjoint, spike, delta,
-               opts: AdjointOpts = None) -> YhatSolution:
+               adj2: SecondOrderAdjoint, spike, delta) -> YhatSolution:
     """Backward solve of the auxiliary scalar equation with terminal 0 and the
-    spiked-Hamiltonian forcing, plus the exponential-weight representation of
-    its initial value (two independent estimators of the same number)."""
-    if opts is None:
-        opts = AdjointOpts()
+    spiked-Hamiltonian forcing, on the Picard solve's node bases, plus the
+    exponential-weight representation of its initial value (two independent
+    estimators of the same number)."""
     frame = adj1.frame
     grid = sol.X.grid
-    M, N = frame.M, grid.N
-    dt, dB = grid.dt, sol.bundle.dB
+    M, dt, dB = frame.M, grid.dt, sol.bundle.dB
 
-    Hy, Hz = adj2.H_y, adj2.H_z
-    a_y, a_z = aux_coefficients(frame, adj1, Hy, Hz)
+    a_y, a_z = aux_coefficients(frame, adj1, adj2.H_y, adj2.H_z)
     delta_values = delta.panel.scalar() if hasattr(delta, "panel") else np.asarray(delta)
     F = spiked_forcing(frame, adj1, adj2, spike, delta_values)
-
-    yhat = np.zeros((M, N + 1))
-    zhat = np.zeros((M, N + 1))
     y0_samples = None
-    for i in range(N - 1, -1, -1):
-        nb = NodeBasis(frame.X[:, i], opts.basis_degree)
-        m_next = nb.fit(yhat[:, i + 1])
-        zv = nb.fit((yhat[:, i + 1] - m_next) * dB[:, i] / dt)
-        # affine in yhat_i: solve exactly
-        yv = (m_next + (a_z[:, i] * zv + F[:, i]) * dt) / (1.0 - a_y[:, i] * dt)
-        yhat[:, i], zhat[:, i] = yv, zv
-        if i == 0:
-            y0_samples = yhat[:, 1] + (a_y[:, 0] * yv + a_z[:, 0] * zv + F[:, 0]) * dt
-    zhat[:, N] = zhat[:, N - 1]
 
-    gamma = solve_gamma(spec, sol, adj1)
+    def node(i, nb, y_next, m, zv):
+        nonlocal y0_samples
+        # affine in yhat_i: solve exactly
+        yv = (m + (a_z[:, i] * zv + F[:, i]) * dt) / (1.0 - a_y[:, i] * dt)
+        if i == 0:
+            y0_samples = y_next + (a_y[:, 0] * yv + a_z[:, 0] * zv + F[:, 0]) * dt
+        return yv
+
+    yhat, zhat, _ = _backward_regression(sol.bases.__getitem__, np.zeros(M), dB, dt, node)
+    gamma = _weight_process(a_y, a_z, grid, dB)
     rep_samples = (gamma.gamma.scalar()[:, :-1] * F[:, :-1]).sum(axis=1) * dt
     y0_b = float(y0_samples.mean())
     y0_b_se = float(y0_samples.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0

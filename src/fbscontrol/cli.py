@@ -132,7 +132,7 @@ def _opts(cfg: RunConfig):
     picard = PicardOpts(max_sweeps=cfg.solver.picard_max, tol=cfg.solver.picard_tol,
                         damping=cfg.solver.damping,
                         basis=BasisSpec(cfg.solver.basis_degree))
-    adj = AdjointOpts(basis_degree=cfg.solver.basis_degree, c_min=cfg.solver.c_min)
+    adj = AdjointOpts(c_min=cfg.solver.c_min)
     return picard, adj
 
 

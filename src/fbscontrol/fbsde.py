@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvertibilityError, NoConvergenceError, NonFiniteError
 from .model import ControlLaw, ProblemSpec
 from .paths import SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, TimeGrid, moment_norm
-from .regression import NodeBasis, NodeFit, blend_fits
+from .regression import NodeBasis, NodeFit, _backward_regression, _fixed_point, blend_fits
 
 
 @dataclass
@@ -69,6 +69,7 @@ class FbsdeSolution:
     ridge_nodes: list
     closures: Optional[Closures] = None
     damped: bool = False
+    bases: Optional[list] = None   # the final sweep's NodeBasis per node 0..N-1
 
     @property
     def value(self) -> float:
@@ -112,6 +113,10 @@ def simulate_forward(spec: ProblemSpec, control: ControlLaw,
     return ProcessPanel(X, grid, label=label)
 
 
+def _ridge_nodes(bases):
+    return [i for i in range(len(bases) - 1, -1, -1) if bases[i].ridge_used]
+
+
 def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPanel,
                           bundle: BrownianBundle, basis: BasisSpec = None,
                           inner_tol: float = 1e-10, inner_max: int = 10):
@@ -120,59 +125,48 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
     Y_N is pinned to phi(X_N) node-exactly. At each earlier node, Z comes from
     projecting the centered martingale increment (Y_{i+1} - E_i[Y_{i+1}]) dB / dt
     onto the basis, and Y from regressing Y_{i+1} + g(t_i, X_i, ., Z_i, u_i) dt,
-    iterating the y-argument to a fixed point when the driver reads it.
+    iterating the y-argument to a fixed point (at most ``inner_max`` regressions)
+    when the driver reads it.
 
-    Returns (Y panel, Z panel, Closures, report dict).
+    Returns (Y panel, Z panel, Closures, report dict); the report carries the
+    node bases, which later solves along the same panel reuse.
     """
     if basis is None:
         basis = BasisSpec()
     grid, dB = bundle.grid, bundle.dB
-    M, N = bundle.M, grid.N
-    dt = grid.dt
-    nodes = grid.nodes
+    N, dt, nodes = grid.N, grid.dt, grid.nodes
     Xv = X.values
 
-    Y = np.empty((M, N + 1))
-    Z = np.zeros((M, N + 1))
-    Y[:, N] = spec.phi.value(Xv[:, N, :])
+    terminal = spec.phi.value(Xv[:, N, :])
     # pathwise value accumulator: same driver evaluations, no intermediate
     # refitting, so Y(0) samples keep an honest cross-path spread
-    y_path = Y[:, N].copy()
+    y_path = np.array(terminal, dtype=float)
+    bases, y_fits = [None] * N, [None] * N
 
-    y_fits, z_fits = [None] * N, [None] * N
-    ridge_nodes = []
+    def basis_at(i):
+        bases[i] = NodeBasis(Xv[:, i, :], basis.degree)
+        return bases[i]
 
-    for i in range(N - 1, -1, -1):
-        nb = NodeBasis(Xv[:, i, :], basis.degree)
-        if nb.ridge_used:
-            ridge_nodes.append(i)
-        y_next = Y[:, i + 1]
-        m_coef = nb.coefficients(y_next)
-        m = nb.phi @ m_coef
-        z_coef = nb.coefficients((y_next - m) * dB[:, i] / dt)
-        z = nb.phi @ z_coef
-        u = control.values_at(i, nodes[i], Xv[:, i, :])
+    def node(i, nb, y_next, m, z):
+        nonlocal y_path
+        x = Xv[:, i, :]
+        u = control.values_at(i, nodes[i], x)
+        y_coef = None
 
-        ya = y_next
-        y = None
-        for _ in range(inner_max):
-            gval = spec.g.value(nodes[i], Xv[:, i, :], ya, z, u)
-            rhs = y_next + gval * dt
-            y_coef = nb.coefficients(rhs)
-            y_new = nb.phi @ y_coef
-            if y is not None and np.max(np.abs(y_new - y)) <= inner_tol * (1.0 + np.max(np.abs(y_new))):
-                y = y_new
-                break
-            y = y_new
-            ya = y
-        Y[:, i] = y
-        Z[:, i] = z
-        y_path += spec.g.value(nodes[i], Xv[:, i, :], y, z, u) * dt
+        def step(y):
+            nonlocal y_coef
+            y_coef = nb.coefficients(y_next + spec.g.value(nodes[i], x, y, z, u) * dt)
+            return nb.phi @ y_coef
+
+        y, _ = _fixed_point(step, step(y_next), inner_tol, inner_max - 1,
+                            "picard inner y fixed point", i)
+        y_path += spec.g.value(nodes[i], x, y, z, u) * dt
         y_fits[i] = NodeFit(nb.transform, y_coef, nb.state_lo, nb.state_hi)
-        z_fits[i] = NodeFit(nb.transform, z_coef, nb.state_lo, nb.state_hi)
-    Z[:, N] = Z[:, N - 1]
+        return y
 
-    report = {"ridge_nodes": ridge_nodes, "y0_samples": y_path}
+    Y, Z, z_coef = _backward_regression(basis_at, terminal, dB, dt, node)
+    z_fits = [NodeFit(nb.transform, c, nb.state_lo, nb.state_hi) for nb, c in zip(bases, z_coef)]
+    report = {"ridge_nodes": _ridge_nodes(bases), "y0_samples": y_path, "bases": bases}
     return (ProcessPanel(Y, grid, label="Y"), ProcessPanel(Z, grid, label="Z"),
             Closures(y_fits, z_fits), report)
 
@@ -209,9 +203,11 @@ def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
             trace.append(res)
             if res <= opts.tol:
                 return FbsdeSolution(X, Y, Z, control, bundle, trace, True, sweep,
-                                     rep["y0_samples"], rep["ridge_nodes"], fits, damped)
+                                     rep["y0_samples"], rep["ridge_nodes"], fits, damped,
+                                     rep["bases"])
         prev = (X.values, Y.values, Z.values)
         closures = fits.blended_with(closures, opts.damping)
+        del rep  # free this sweep's bases before the next sweep builds its own
     err = NoConvergenceError("picard", trace[-1] if trace else np.inf,
                              detail=f"{sweeps} sweeps")
     err.trace = trace
@@ -297,6 +293,14 @@ class LinearFbsdeSpec:
                 raise ValueError(f"coefficient {name} has non-finite entries")
             self.coeff_max[name] = float(np.abs(v).max())
 
+    def partials(self, i):
+        """Node-i coefficients under the first-order adjoint's names: the
+        system is its own linearisation, with a, b, c the x, y, z partials of
+        the drift (1), the diffusion (2) and the driver (3)."""
+        return {"bx": self.a1[:, i], "by": self.b1[:, i], "bz": self.c1[:, i],
+                "sx": self.a2[:, i], "sy": self.b2[:, i], "sz": self.c2[:, i],
+                "gx": self.a3[:, i], "gy": self.b3[:, i], "gz": self.c3[:, i]}
+
 
 @dataclass
 class DecouplingData:
@@ -317,83 +321,91 @@ def _dot(a, b):
     return np.einsum("mi,mi->m", a, b)
 
 
+def _k1_formula(parts, p, q, c_min, where):
+    mbar = 1.0 - _dot(p, parts["sz"])
+    mm = float(np.abs(mbar).min())
+    if mm < c_min:
+        raise InvertibilityError(mm, c_min, where=where)
+    k1 = (np.einsum("mji,mj->mi", parts["sx"], p)
+          + _dot(p, parts["sy"])[:, None] * p + q) / mbar[:, None]
+    return k1, mbar, mm
+
+
+def _p_driver(parts, p, q, k1):
+    """Generator of the first-order adjoint backward equation."""
+    return (parts["gx"] + parts["gy"][:, None] * p + parts["gz"][:, None] * k1
+            + np.einsum("mji,mj->mi", parts["bx"], p)
+            + _dot(p, parts["by"])[:, None] * p
+            + _dot(p, parts["bz"])[:, None] * k1
+            + np.einsum("mji,mj->mi", parts["sx"], q)
+            + _dot(q, parts["sy"])[:, None] * p
+            + _dot(q, parts["sz"])[:, None] * k1)
+
+
+def _solve_first_order(basis_at, terminal, dB, dt, parts_at, c_min, fp_tol, fp_max):
+    """Backward regression solve of the first-order adjoint (p, q, K1), with
+    the partials bx ... gz at node i from ``parts_at(i)``: p = E_i[p_{i+1}] +
+    G(p, q, K1(p, q)) dt by one explicit step where sigma_z vanishes at the
+    node, otherwise by a fixed point. Returns (p, q, K1, smallest margin
+    |1 - <p, sigma_z>|, most iterations at a node)."""
+    N = dB.shape[1]
+    K1 = np.empty((dB.shape[0], N + 1) + np.shape(terminal)[1:])
+    margin, max_iters = np.inf, 0
+
+    def node(i, nb, p_next, m, q):
+        nonlocal margin, max_iters
+        parts = parts_at(i)
+        where, mm = f"first-order adjoint node {i}", np.inf
+
+        def step(p):
+            nonlocal mm
+            k1, _, mm = _k1_formula(parts, p, q, c_min, where)
+            return m + _p_driver(parts, p, q, k1) * dt
+
+        if float(np.abs(parts["sz"]).max()) == 0.0:
+            p, iters = step(m), 1
+        else:
+            p, iters = _fixed_point(step, m, fp_tol, fp_max, "first-order adjoint fixed point", i)
+        K1[:, i], _, mm_final = _k1_formula(parts, p, q, c_min, where)
+        margin = min(margin, mm, mm_final)
+        max_iters = max(max_iters, iters)
+        return p
+
+    p, q, _ = _backward_regression(basis_at, terminal, dB, dt, node)
+    K1[:, N], _, mm = _k1_formula(parts_at(N), p[:, N], q[:, N], c_min,
+                                  f"first-order adjoint node {N}")
+    return p, q, K1, min(margin, mm), max_iters
+
+
 def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
                      degree: int = 2, c_min: float = 0.1,
                      fp_tol: float = 1e-12, fp_max: int = 20) -> DecouplingData:
-    """Solve the (p, q) backward pair (nonlinear in p through K1) and then the
-    scalar (phi, nu) pair, whose affine per-node equation is solved exactly so
-    the map from forcings to (phi, nu) stays linear."""
-    grid, dB = bundle.grid, bundle.dB
-    M, N, n = lspec.M, grid.N, lspec.n
-    dt = grid.dt
+    """Solve the (p, q) backward pair, which is the first-order adjoint of the
+    linear system (nonlinear in p through K1), and then the scalar (phi, nu)
+    pair on the same node bases, whose affine per-node equation is solved
+    exactly so the map from forcings to (phi, nu) stays linear."""
+    dB, dt = bundle.dB, bundle.grid.dt
+    bases = [None] * bundle.grid.N
 
-    p = np.empty((M, N + 1, n))
-    q = np.zeros((M, N + 1, n))
-    p[:, N] = lspec.kappa
-    margin = np.inf
-    ridge_nodes = []
+    def basis_at(i):
+        bases[i] = NodeBasis(lspec.cond[:, i], degree)
+        return bases[i]
 
-    def k1_of(pv, qv, i):
-        mbar = 1.0 - _dot(pv, lspec.c2[:, i])
-        mm = float(np.abs(mbar).min())
-        if mm < c_min:
-            raise InvertibilityError(mm, c_min, where=f"decoupling node {i}")
-        k1 = (np.einsum("mij,mi->mj", lspec.a2[:, i], pv)
-              + _dot(pv, lspec.b2[:, i])[:, None] * pv + qv) / mbar[:, None]
-        return k1, mbar, mm
-
-    for i in range(N - 1, -1, -1):
-        nb = NodeBasis(lspec.cond[:, i], degree)
-        if nb.ridge_used:
-            ridge_nodes.append(i)
-        m_next = nb.fit(p[:, i + 1])
-        qv = nb.fit((p[:, i + 1] - m_next) * (dB[:, i] / dt)[:, None])
-        pv = m_next
-        for it in range(fp_max):
-            k1, mbar, mm = k1_of(pv, qv, i)
-            drv = (lspec.a3[:, i] + lspec.b3[:, i, None] * pv + lspec.c3[:, i, None] * k1
-                   + np.einsum("mij,mi->mj", lspec.a1[:, i], pv)
-                   + _dot(pv, lspec.b1[:, i])[:, None] * pv
-                   + _dot(pv, lspec.c1[:, i])[:, None] * k1
-                   + np.einsum("mij,mi->mj", lspec.a2[:, i], qv)
-                   + _dot(qv, lspec.b2[:, i])[:, None] * pv
-                   + _dot(qv, lspec.c2[:, i])[:, None] * k1)
-            p_new = m_next + drv * dt
-            if np.max(np.abs(p_new - pv)) <= fp_tol * (1.0 + np.max(np.abs(p_new))):
-                pv = p_new
-                break
-            pv = p_new
-        else:
-            raise NoConvergenceError("decoupling p fixed point", np.max(np.abs(p_new - pv)),
-                                     detail=f"node {i}")
-        margin = min(margin, mm)
-        p[:, i], q[:, i] = pv, qv
-    q[:, N] = q[:, N - 1]
-
-    K1 = np.empty_like(p)
-    for i in range(N + 1):
-        K1[:, i], _, mm = k1_of(p[:, i], q[:, i], i)
-        margin = min(margin, mm)
+    p, q, K1, margin, _ = _solve_first_order(basis_at, lspec.kappa, dB, dt, lspec.partials,
+                                             c_min, fp_tol, fp_max)
 
     # scalar pair: per-node equation phi = m + (c0 + c1 phi) dt solved exactly
-    phi = np.empty((M, N + 1))
-    nu = np.zeros((M, N + 1))
-    phi[:, N] = lspec.varsigma
-    for i in range(N - 1, -1, -1):
-        nb = NodeBasis(lspec.cond[:, i], degree)
-        m_next = nb.fit(phi[:, i + 1])
-        nv = nb.fit((phi[:, i + 1] - m_next) * dB[:, i] / dt)
+    def phi_node(i, nb, phi_next, m, nv):
         mbar = 1.0 - _dot(p[:, i], lspec.c2[:, i])
         gsum = (lspec.c3[:, i] + _dot(p[:, i], lspec.c1[:, i]) + _dot(q[:, i], lspec.c2[:, i])) / mbar
         c1 = (lspec.b3[:, i] + _dot(p[:, i], lspec.b1[:, i]) + _dot(q[:, i], lspec.b2[:, i])
               + gsum * _dot(p[:, i], lspec.b2[:, i]))
         c0 = (lspec.L3[:, i] + _dot(p[:, i], lspec.L1[:, i]) + _dot(q[:, i], lspec.L2[:, i])
               + gsum * (_dot(p[:, i], lspec.L2[:, i]) + nv))
-        phi[:, i] = (m_next + c0 * dt) / (1.0 - c1 * dt)
-        nu[:, i] = nv
-    nu[:, N] = nu[:, N - 1]
+        return (m + c0 * dt) / (1.0 - c1 * dt)
 
-    return DecouplingData(p, q, K1, phi, nu, float(margin), c_min, ridge_nodes)
+    phi, nu, _ = _backward_regression(bases.__getitem__, lspec.varsigma, dB, dt, phi_node)
+    return DecouplingData(p, q, K1, phi, nu, float(margin), c_min, _ridge_nodes(bases))
 
 
 def solve_linear_fbsde(lspec: LinearFbsdeSpec, bundle: BrownianBundle,

@@ -36,6 +36,30 @@ LINEAR_IN_Z = "LINEAR_IN_Z"
 _FD_REL_STEP = 1e-4
 
 
+def _central_difference(f, wrt, **args):
+    """Central difference of f(**args) in the argument named ``wrt``, with
+    relative step 1e-4: a path vector (M,) gives the derivative, an (M, n)
+    argument the partials in each column, stacked on a new last axis."""
+    a = args[wrt]
+    M = a.shape[0]
+
+    def quotient(hi, lo, h):
+        hi, lo = f(**{**args, wrt: hi}), f(**{**args, wrt: lo})
+        return (hi - lo) / (2.0 * h).reshape((M,) + (1,) * (hi.ndim - 1))
+
+    if a.ndim == 1:
+        h = _FD_REL_STEP * (1.0 + np.abs(a))
+        return quotient(a + h, a - h, h)
+    cols = []
+    for j in range(a.shape[1]):
+        h = _FD_REL_STEP * (1.0 + np.abs(a[:, j]))
+        ap, am = a.copy(), a.copy()
+        ap[:, j] += h
+        am[:, j] -= h
+        cols.append(quotient(ap, am, h))
+    return np.stack(cols, axis=-1)
+
+
 def _bc(value, shape):
     """Broadcast an evaluator output (possibly scalar) to the expected shape."""
     arr = np.asarray(value, dtype=float)
@@ -92,29 +116,8 @@ class Coefficient:
 
     def _fd_second(self, name, t, x, y, z, u):
         """Central difference of the relevant first partial."""
-        base, wrt = "d" + name[1], name[2]
-        first = lambda xx, yy, zz: self.first(base, t, xx, yy, zz, u)
-        M, n = x.shape
-        if wrt == "y":
-            h = _FD_REL_STEP * (1.0 + np.abs(y))
-            hi, lo = first(x, y + h, z), first(x, y - h, z)
-            denom = 2.0 * h
-            return (hi - lo) / denom.reshape((M,) + (1,) * (hi.ndim - 1))
-        if wrt == "z":
-            h = _FD_REL_STEP * (1.0 + np.abs(z))
-            hi, lo = first(x, y, z + h), first(x, y, z - h)
-            denom = 2.0 * h
-            return (hi - lo) / denom.reshape((M,) + (1,) * (hi.ndim - 1))
-        # derivative in x: one extra trailing axis over x components
-        cols = []
-        for j in range(n):
-            h = _FD_REL_STEP * (1.0 + np.abs(x[:, j]))
-            xp, xm = x.copy(), x.copy()
-            xp[:, j] += h
-            xm[:, j] -= h
-            hi, lo = first(xp, y, z), first(xm, y, z)
-            cols.append((hi - lo) / (2.0 * h).reshape((M,) + (1,) * (hi.ndim - 1)))
-        return np.stack(cols, axis=-1)
+        return _central_difference(lambda x, y, z: self.first("d" + name[1], t, x, y, z, u),
+                                   name[2], x=x, y=y, z=z)
 
 
 class TerminalMap:
@@ -135,14 +138,7 @@ class TerminalMap:
         M, n = x.shape
         if self._dxx is not None:
             return _bc(self._dxx(x), (M, n, n))
-        cols = []
-        for j in range(n):
-            h = _FD_REL_STEP * (1.0 + np.abs(x[:, j]))
-            xp, xm = x.copy(), x.copy()
-            xp[:, j] += h
-            xm[:, j] -= h
-            cols.append((self.dx(xp) - self.dx(xm)) / (2.0 * h)[:, None])
-        return np.stack(cols, axis=-1)
+        return _central_difference(self.dx, "x", x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +369,7 @@ def validate_spec(spec: ProblemSpec, probes: int, seed) -> ValidationReport:
         )
         for pname, wrt in (("dx", "x"), ("dy", "y"), ("dz", "z")):
             analytic = coef.first(pname, t, x, y, z, u)
-            fd = _fd_first(coef, wrt, t, x, y, z, u)
+            fd = _central_difference(lambda x, y, z: coef.value(t, x, y, z, u), wrt, x=x, y=y, z=z)
             first_mis[f"{cname}_{wrt}"] = float(_rel_mismatch(analytic, fd).max())
         for sname in Coefficient._SECOND:
             analytic = coef.second(sname, t, x, y, z, u)
@@ -384,13 +380,7 @@ def validate_spec(spec: ProblemSpec, probes: int, seed) -> ValidationReport:
     if not np.all(np.isfinite(phi_val)):
         raise EvaluatorError("phi", (x[np.argwhere(~np.isfinite(phi_val))[0][0]],))
     growth["phi"] = float((np.abs(phi_val) / (1.0 + np.abs(x).sum(axis=1))).max())
-    fd_phix = np.empty((M, n))
-    for j in range(n):
-        h = _FD_REL_STEP * (1.0 + np.abs(x[:, j]))
-        xp, xm = x.copy(), x.copy()
-        xp[:, j] += h
-        xm[:, j] -= h
-        fd_phix[:, j] = (spec.phi.value(xp) - spec.phi.value(xm)) / (2.0 * h)
+    fd_phix = _central_difference(spec.phi.value, "x", x=x)
     first_mis["phi_x"] = float(_rel_mismatch(spec.phi.dx(x), fd_phix).max())
 
     lin_max = 0.0
@@ -409,28 +399,6 @@ def validate_spec(spec: ProblemSpec, probes: int, seed) -> ValidationReport:
             failures.append(f"growth ratio {key} = {v:.2f} exceeds L = {spec.growth_L}")
 
     return ValidationReport(first_mis, second_mis, growth, lin_max, failures, not failures, probes)
-
-
-def _fd_first(coef: Coefficient, wrt, t, x, y, z, u):
-    f = lambda xx, yy, zz: coef.value(t, xx, yy, zz, u)
-    M, n = x.shape
-    if wrt == "y":
-        h = _FD_REL_STEP * (1.0 + np.abs(y))
-        hi, lo = f(x, y + h, z), f(x, y - h, z)
-        return (hi - lo) / (2.0 * h).reshape((M,) + (1,) * (hi.ndim - 1))
-    if wrt == "z":
-        h = _FD_REL_STEP * (1.0 + np.abs(z))
-        hi, lo = f(x, y, z + h), f(x, y, z - h)
-        return (hi - lo) / (2.0 * h).reshape((M,) + (1,) * (hi.ndim - 1))
-    cols = []
-    for j in range(n):
-        h = _FD_REL_STEP * (1.0 + np.abs(x[:, j]))
-        xp, xm = x.copy(), x.copy()
-        xp[:, j] += h
-        xm[:, j] -= h
-        hi, lo = f(xp, y, z), f(xm, y, z)
-        cols.append((hi - lo) / (2.0 * h).reshape((M,) + (1,) * (hi.ndim - 1)))
-    return np.stack(cols, axis=-1)
 
 
 # ---------------------------------------------------------------------------

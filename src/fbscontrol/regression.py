@@ -5,6 +5,10 @@ A :class:`NodeBasis` is built from the conditioning state at one time node
 and can fit any number of regressands against the same factorized normal
 equations. Fits are linear maps of the regressand, which is what makes
 superposition tests on linear equations hold to rounding.
+
+Every backward equation of the package is solved by the one regression step
+of :func:`_backward_regression`, with the node equation supplied by the caller
+(solved explicitly or by :func:`_fixed_point`).
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
+
+from .errors import NoConvergenceError
 
 RIDGE_LAMBDA = 1e-8
 _DEGENERATE_TOL = 1e-12
@@ -63,6 +69,7 @@ class NodeBasis:
         state = np.atleast_2d(np.asarray(state, dtype=float))
         if state.ndim > 2:
             state = state.reshape(state.shape[0], -1)
+        self.degree = degree
         self.state_lo = state.min(axis=0)
         self.state_hi = state.max(axis=0)
         mean = state.mean(axis=0)
@@ -127,3 +134,46 @@ def blend_fits(new, old, theta: float):
         return theta * new(state) + (1.0 - theta) * old(state)
 
     return blended
+
+
+def _backward_regression(basis_at, terminal, dB, dt, node):
+    """One regression Monte Carlo sweep of a backward equation.
+
+    Sets v_N = terminal. At each node i = N-1, ..., 0 it regresses on the basis
+    ``basis_at(i)`` the conditional mean m = E_i[v_{i+1}] and the centred
+    martingale projection w = E_i[(v_{i+1} - m) dB_i / dt], then sets
+    v_i = node(i, nb, v_{i+1}, m, w). Per-path values may be scalars, vectors
+    or matrices (regressed flattened). Returns the panels v and w, with
+    w_N = w_{N-1}, and the per-node regression coefficients of w.
+    """
+    M, N = dB.shape
+    shape = np.shape(terminal)[1:]
+    v = np.empty((M, N + 1) + shape)
+    w = np.zeros((M, N + 1) + shape)
+    w_coef = [None] * N
+    v[:, N] = terminal
+    for i in range(N - 1, -1, -1):
+        nb = basis_at(i)
+        v_next = v[:, i + 1]
+        flat = v_next.reshape(M, -1) if v_next.ndim > 2 else v_next
+        m = nb.fit(flat)
+        db = dB[:, i].reshape((M,) + (1,) * (flat.ndim - 1))
+        w_coef[i] = nb.coefficients((flat - m) * db / dt)
+        w[:, i] = (nb.phi @ w_coef[i]).reshape(v_next.shape)
+        v[:, i] = node(i, nb, v_next, m.reshape(v_next.shape), w[:, i])
+    w[:, N] = w[:, N - 1]
+    return v, w, w_coef
+
+
+def _fixed_point(step, start, tol, cap, what, node):
+    """Iterate x <- step(x) from ``start`` until the sup-norm step is at most
+    tol * (1 + sup|x|); returns (x, iterations). After ``cap`` steps raises
+    NoConvergenceError with the last step size and the node."""
+    x, change = start, np.inf
+    for it in range(1, cap + 1):
+        new = step(x)
+        change = float(np.max(np.abs(new - x)))
+        x = new
+        if change <= tol * (1.0 + np.max(np.abs(new))):
+            return x, it
+    raise NoConvergenceError(what, change, detail=f"node {node}")

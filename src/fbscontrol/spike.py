@@ -13,13 +13,13 @@ from scipy.stats import linregress
 
 from ._frame import RefFrame
 from .adjoint import (AdjointOpts, FirstOrderAdjoint, SecondOrderAdjoint, YhatSolution,
-                      hamiltonian_hessian, solve_first_order_adjoint,
-                      solve_second_order_adjoint, solve_yhat)
+                      _hessian, solve_first_order_adjoint, solve_second_order_adjoint,
+                      solve_yhat)
 from .errors import InvertibilityError, NoConvergenceError
-from .fbsde import FbsdeSolution, PicardOpts, solve_coupled_picard
+from .fbsde import FbsdeSolution, PicardOpts, _dot, solve_coupled_picard
 from .model import LINEAR_IN_Z, OpenLoopControl, ProblemSpec, tabulate_control
 from .paths import SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, moment_norm
-from .regression import NodeBasis
+from .regression import NodeBasis, _backward_regression
 
 CLOSED_FORM_SZ0 = "CLOSED_FORM_SZ0"
 CLOSED_FORM_LINEAR = "CLOSED_FORM_LINEAR"
@@ -73,10 +73,6 @@ class DeltaProcess:
     residual: ProcessPanel
     method: str
     max_iterations: int = 0
-
-
-def _dot(a, b):
-    return np.einsum("mi,mi->m", a, b)
 
 
 def delta_at_node(spec: ProblemSpec, frame: RefFrame, p_node: np.ndarray, i: int,
@@ -186,14 +182,12 @@ class VariationBundle:
 
 
 def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
-                        adj2: SecondOrderAdjoint, spike: SpikeSpec, delta: DeltaProcess,
-                        opts: AdjointOpts = None) -> VariationBundle:
+                        adj2: SecondOrderAdjoint, spike: SpikeSpec,
+                        delta: DeltaProcess) -> VariationBundle:
     """Simulate the first- and second-order variational states forward through
     their decoupling relations, reconstruct the backward components, and attach
     cross-method residuals from independent backward regression solves.
     """
-    if opts is None:
-        opts = AdjointOpts()
     frame = adj1.frame
     grid = sol.X.grid
     M, N, n = frame.M, grid.N, spec.n
@@ -207,10 +201,12 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
     #                        + [sx X1 + sy <p,X1> + sz <K1,X1> + dsig(t,Delta) 1_E] dB
     X1 = np.zeros((M, N + 1, n))
     dsig_window = np.zeros((M, N + 1, n))
+    dwin = {}  # window node -> spike increments of b, sigma and g at (Z + Delta, v)
     for i in np.flatnonzero(mask):
-        u_sp = spike.perturb_values(M, i)
-        dsig_window[:, i] = (frame.shifted_values(i, u_sp, dvals[:, i])["s"]
-                             - frame.values(i)["s"])
+        sh = frame.shifted_values(i, spike.perturb_values(M, i), dvals[:, i])
+        ref = frame.values(i)
+        dwin[i] = {k: sh[k] - ref[k] for k in sh}
+        dsig_window[:, i] = dwin[i]["s"]
     for i in range(N):
         parts = frame.first(i)
         x1 = X1[:, i]
@@ -225,7 +221,7 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
     Y1 = np.einsum("mti,mti->mt", p, X1)
     Z1 = np.einsum("mti,mti->mt", K1, X1) + dvals * mask[None, :]
 
-    yhat = solve_yhat(spec, sol, adj1, adj2, spike, delta, opts)
+    yhat = solve_yhat(spec, sol, adj1, adj2, spike, delta)
     yh, zh = yhat.yhat.scalar(), yhat.zhat.scalar()
 
     # second-order state with Y2 = <p,X2> + <P X1, X1>/2 + yhat and Z2 = I + zhat
@@ -270,11 +266,8 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
         diff = (np.einsum("mij,mj->mi", parts["sx"], x2)
                 + parts["sy"] * y2[:, None] + parts["sz"] * z2[:, None] + 0.5 * quad_s)
         if mask[i]:
-            u_sp = spike.perturb_values(M, i)
-            sh = frame.shifted_values(i, u_sp, dvals[:, i])
-            ref = frame.values(i)
-            drift = drift + (sh["b"] - ref["b"])
-            sh1 = frame.shifted_sigma_first(i, u_sp, dvals[:, i])
+            drift = drift + dwin[i]["b"]
+            sh1 = frame.shifted_sigma_first(i, spike.perturb_values(M, i), dvals[:, i])
             diff = diff + (np.einsum("mij,mj->mi", sh1["sx"] - parts["sx"], X1[:, i])
                            + (sh1["sy"] - parts["sy"]) * Y1[:, i, None]
                            + (sh1["sz"] - parts["sz"]) * _dot(K1[:, i], X1[:, i])[:, None])
@@ -282,8 +275,8 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
     y2, z2, Ival = relation_values(N, X2[:, N])
     Y2[:, N], Z2[:, N], I_panel[:, N] = y2, z2, Ival
 
-    res_y1, res_z1 = _residual_backward_y1(spec, frame, sol, adj1, spike, dvals, X1, Y1, Z1, mask, opts)
-    res_y2, res_z2 = _residual_backward_y2(spec, frame, sol, adj1, spike, dvals, X1, Y1, X2, Y2, Z2, mask, opts)
+    res_y1, res_z1 = _residual_backward_y1(spec, frame, sol, adj1, dwin, dvals, X1, Y1, Z1, mask)
+    res_y2, res_z2 = _residual_backward_y2(spec, frame, sol, adj1, dwin, X1, Y1, X2, Y2, Z2, mask)
 
     return VariationBundle(
         ProcessPanel(X1, grid, "X1"), ProcessPanel(Y1, grid, "Y1"), ProcessPanel(Z1, grid, "Z1"),
@@ -298,99 +291,63 @@ def _quad_vector(sec, tag, v, n):
     """Components <v, D^2 psi^i v> for a vector coefficient, shape (M, n)."""
     out = np.empty((v.shape[0], n))
     for comp in range(n):
-        H = _hess_block(sec, tag, n, comp)
-        out[:, comp] = np.einsum("ma,mab,mb->m", v, H, v)
+        out[:, comp] = np.einsum("ma,mab,mb->m", v, _hessian(sec, tag, n, comp), v)
     return out
 
 
-def _hess_block(sec, tag, n, comp):
-    M = sec[tag + "yy"].shape[0]
-    H = np.zeros((M, n + 2, n + 2))
-    H[:, :n, :n] = sec[tag + "xx"][:, comp]
-    H[:, :n, n] = sec[tag + "xy"][:, comp]
-    H[:, n, :n] = sec[tag + "xy"][:, comp]
-    H[:, :n, n + 1] = sec[tag + "xz"][:, comp]
-    H[:, n + 1, :n] = sec[tag + "xz"][:, comp]
-    H[:, n, n] = sec[tag + "yy"][:, comp]
-    H[:, n, n + 1] = sec[tag + "yz"][:, comp]
-    H[:, n + 1, n] = sec[tag + "yz"][:, comp]
-    H[:, n + 1, n + 1] = sec[tag + "zz"][:, comp]
-    return H
+def _residual_backward(sol, state_at, terminal, node, Y, Z):
+    """Independent regression solve of a variational backward equation on the
+    conditioning state ``state_at(i)``, with the Picard solve's basis degree,
+    differenced against the relation values (Y, Z); the Z residual is 0 at T.
+    The bases are built node by node, so none is kept."""
+    degree = sol.bases[0].degree
+    y, z, _ = _backward_regression(lambda i: NodeBasis(state_at(i), degree), terminal,
+                                   sol.bundle.dB, sol.X.grid.dt, node)
+    zres = z - Z
+    zres[:, -1] = 0.0
+    return y - Y, zres
 
 
-def _quad_scalar(sec, v, n):
-    """<v, D^2 g v> for the scalar driver."""
-    M = sec["gyy"].shape[0]
-    H = np.zeros((M, n + 2, n + 2))
-    H[:, :n, :n] = sec["gxx"]
-    H[:, :n, n] = sec["gxy"]
-    H[:, n, :n] = sec["gxy"]
-    H[:, :n, n + 1] = sec["gxz"]
-    H[:, n + 1, :n] = sec["gxz"]
-    H[:, n, n] = sec["gyy"]
-    H[:, n, n + 1] = sec["gyz"]
-    H[:, n + 1, n] = sec["gyz"]
-    H[:, n + 1, n + 1] = sec["gzz"]
-    return np.einsum("ma,mab,mb->m", v, H, v)
-
-
-def _residual_backward_y1(spec, frame, sol, adj1, spike, dvals, X1, Y1, Z1, mask, opts):
+def _residual_backward_y1(spec, frame, sol, adj1, dwin, dvals, X1, Y1, Z1, mask):
     """Independently solve the first-order backward equation by regression on
     (X, X1) and difference against the relation values Y1 = <p, X1> and
     Z1 = <K1, X1> + Delta 1_E."""
-    grid = sol.X.grid
-    M, N = frame.M, grid.N
-    dt, dB = grid.dt, sol.bundle.dB
+    M, dt = frame.M, sol.X.grid.dt
     q = adj1.q_values
-    y = np.empty((M, N + 1))
-    zres = np.zeros((M, N + 1))
-    y[:, N] = _dot(spec.phi.dx(frame.X[:, N]), X1[:, N])
-    for i in range(N - 1, -1, -1):
+
+    def node(i, nb, y_next, m_next, zv):
         parts = frame.first(i)
-        state = np.concatenate([frame.X[:, i], X1[:, i]], axis=1)
-        nb = NodeBasis(state, opts.basis_degree)
-        m_next = nb.fit(y[:, i + 1])
-        zv = nb.fit((y[:, i + 1] - m_next) * dB[:, i] / dt)
         forcing = np.zeros(M)
         if mask[i]:
-            u_sp = spike.perturb_values(M, i)
-            ds = frame.shifted_values(i, u_sp, dvals[:, i])["s"] - frame.values(i)["s"]
-            forcing = -_dot(q[:, i], ds)
+            forcing = -_dot(q[:, i], dwin[i]["s"])
         drv0 = _dot(parts["gx"], X1[:, i]) + parts["gz"] * (zv - dvals[:, i] * mask[i]) + forcing
-        y[:, i] = (m_next + drv0 * dt) / (1.0 - parts["gy"] * dt)
-        zres[:, i] = zv - Z1[:, i]
-    return y - Y1, zres
+        return (m_next + drv0 * dt) / (1.0 - parts["gy"] * dt)
+
+    return _residual_backward(sol, lambda i: np.concatenate([frame.X[:, i], X1[:, i]], axis=1),
+                              _dot(spec.phi.dx(frame.X[:, -1]), X1[:, -1]), node, Y1, Z1)
 
 
-def _residual_backward_y2(spec, frame, sol, adj1, spike, dvals, X1, Y1, X2, Y2, Z2, mask, opts):
+def _residual_backward_y2(spec, frame, sol, adj1, dwin, X1, Y1, X2, Y2, Z2, mask):
     """Same cross-check for the second-order backward equation."""
-    grid = sol.X.grid
-    M, N = frame.M, grid.N
-    dt, dB = grid.dt, sol.bundle.dB
+    dt, n = sol.X.grid.dt, spec.n
     q, K1 = adj1.q_values, adj1.k1_values
-    n = spec.n
-    y = np.empty((M, N + 1))
-    zres = np.zeros((M, N + 1))
-    y[:, N] = (_dot(spec.phi.dx(frame.X[:, N]), X2[:, N])
-               + 0.5 * np.einsum("mi,mij,mj->m", X1[:, N], spec.phi.dxx(frame.X[:, N]), X1[:, N]))
-    for i in range(N - 1, -1, -1):
+
+    def node(i, nb, y_next, m_next, zv):
         parts = frame.first(i)
         sec = frame.second(i)
-        state = np.concatenate([frame.X[:, i], X1[:, i], X2[:, i]], axis=1)
-        nb = NodeBasis(state, opts.basis_degree)
-        m_next = nb.fit(y[:, i + 1])
-        zv = nb.fit((y[:, i + 1] - m_next) * dB[:, i] / dt)
         v = np.concatenate([X1[:, i], Y1[:, i, None], _dot(K1[:, i], X1[:, i])[:, None]], axis=1)
-        forcing = 0.5 * _quad_scalar(sec, v, n)
+        forcing = 0.5 * np.einsum("ma,mab,mb->m", v, _hessian(sec, "g", n), v)
         if mask[i]:
-            u_sp = spike.perturb_values(M, i)
-            sh = frame.shifted_values(i, u_sp, dvals[:, i])
-            ref = frame.values(i)
-            forcing = forcing + _dot(q[:, i], sh["s"] - ref["s"]) + (sh["g"] - ref["g"])
+            forcing = forcing + _dot(q[:, i], dwin[i]["s"]) + dwin[i]["g"]
         drv0 = _dot(parts["gx"], X2[:, i]) + parts["gz"] * zv + forcing
-        y[:, i] = (m_next + drv0 * dt) / (1.0 - parts["gy"] * dt)
-        zres[:, i] = zv - Z2[:, i]
-    return y - Y2, zres
+        return (m_next + drv0 * dt) / (1.0 - parts["gy"] * dt)
+
+    XN = frame.X[:, -1]
+    terminal = (_dot(spec.phi.dx(XN), X2[:, -1])
+                + 0.5 * np.einsum("mi,mij,mj->m", X1[:, -1], spec.phi.dxx(XN), X1[:, -1]))
+    return _residual_backward(
+        sol, lambda i: np.concatenate([frame.X[:, i], X1[:, i], X2[:, i]], axis=1),
+        terminal, node, Y2, Z2)
 
 
 @dataclass
@@ -530,7 +487,7 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
     if picard is None:
         picard = PicardOpts()
     if adjoint_opts is None:
-        adjoint_opts = AdjointOpts(basis_degree=picard.basis.degree)
+        adjoint_opts = AdjointOpts()
 
     sol = reference if reference is not None else solve_coupled_picard(spec, control, bundle, picard)
     if adjoints is not None:
@@ -557,7 +514,7 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
         spike = SpikeSpec(spike_at, eps, spike_value)
         try:
             delta = solve_delta(spec, sol, adj1, spike, c_min=adjoint_opts.c_min)
-            var = simulate_variations(spec, sol, adj1, adj2, spike, delta, adjoint_opts)
+            var = simulate_variations(spec, sol, adj1, adj2, spike, delta)
             u_eps = spike.spiked_control(frozen, grid)
             sol_eps = solve_coupled_picard(spec, u_eps, bundle, picard)
         except (NoConvergenceError, InvertibilityError) as exc:

@@ -69,6 +69,20 @@ def test_fixed_point_engages_for_z_dependent_sigma():
     assert adj1.max_inner_iterations > 1
 
 
+def test_first_order_fixed_point_error_reports_step():
+    # a tolerance no step can meet: the error names the node and the last
+    # nonzero step size
+    bench = fc.benchmark_coupled_z(0.1)
+    grid = fc.TimeGrid(1.0, 16)
+    bundle = fc.sample_brownian(grid, 400, fc.SeedSpec(7))
+    sol = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle, fc.PicardOpts())
+    with pytest.raises(fc.NoConvergenceError) as err:
+        fc.solve_first_order_adjoint(bench.spec, sol, bench.optimal_control,
+                                     fc.AdjointOpts(fp_tol=1e-300, fp_max=2))
+    assert err.value.residual > 0
+    assert err.value.detail.startswith("node ")
+
+
 def test_k1_identity_every_node(cz_small):
     bench, _, sol, adj1, _ = cz_small
     frame = adj1.frame

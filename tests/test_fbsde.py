@@ -207,6 +207,24 @@ def test_picard_no_convergence_reports_trace():
     assert hasattr(err.value, "trace") and len(err.value.trace) >= 1
 
 
+def test_picard_inner_loop_raises_when_capped():
+    # the driver reads y, so the inner y fixed point needs more than the three
+    # regressions allowed here; it must say so instead of returning the iterate
+    bench = fc.benchmark_coupled_z(0.1)
+    zs = lambda t, x, y, z, u: np.zeros(x.shape[0])
+    bench.spec.g = Coefficient(lambda t, x, y, z, u: 0.5 * u[:, 0] ** 2 + x[:, 0] + 2.0 * y,
+                               lambda t, x, y, z, u: np.ones_like(x),
+                               lambda t, x, y, z, u: 2.0 * np.ones(x.shape[0]), zs,
+                               out="scalar")
+    grid = fc.TimeGrid(1.0, 16)
+    bundle = fc.sample_brownian(grid, 400, fc.SeedSpec(7))
+    with pytest.raises(NoConvergenceError) as err:
+        fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle,
+                                fc.PicardOpts(inner_tol=0.0, inner_max=3))
+    assert err.value.residual > 0
+    assert err.value.detail == "node 15"
+
+
 # ---------------------------------------------------------------------------
 # linear solver
 # ---------------------------------------------------------------------------
@@ -248,13 +266,15 @@ def test_linear_terminal_pinned():
     assert dec.margin >= 0.1
 
 
-def test_linear_superposition():
+@pytest.mark.parametrize("c2", [0.2, 0.0])
+def test_linear_superposition(c2):
+    # c2 = 0 takes the decoupling's one explicit step per node
     grid = fc.TimeGrid(1.0, 64)
     M = 2000
     bundle = fc.sample_brownian(grid, M, fc.SeedSpec(10))
-    sA = linear_spec(grid, M, bundle, L1=0.3, L2=0.2, L3=0.1, vs=0.4, x0=1.0)
-    sB = linear_spec(grid, M, bundle, L1=-0.1, L2=0.5, L3=0.3, vs=-0.2, x0=0.5)
-    sAB = linear_spec(grid, M, bundle, L1=0.2, L2=0.7, L3=0.4, vs=0.2, x0=1.5)
+    sA = linear_spec(grid, M, bundle, L1=0.3, L2=0.2, L3=0.1, vs=0.4, x0=1.0, c2=c2)
+    sB = linear_spec(grid, M, bundle, L1=-0.1, L2=0.5, L3=0.3, vs=-0.2, x0=0.5, c2=c2)
+    sAB = linear_spec(grid, M, bundle, L1=0.2, L2=0.7, L3=0.4, vs=0.2, x0=1.5, c2=c2)
     outs = {}
     for k, s in (("A", sA), ("B", sB), ("AB", sAB)):
         dec = solve_decoupling(s, bundle)
