@@ -238,7 +238,8 @@ def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint
         K2[:, i] = k2
         return Pv
 
-    P, Q, _ = _backward_regression(sol.bases.__getitem__, spec.phi.dxx(frame.X[:, N]), dB, dt, node)
+    P, Q, _ = _backward_regression(sol.bases.__getitem__, spec.phi.dxx(frame.X[:, N]), dB, dt,
+                                   node, "P")
     K2[:, N] = k2_of(P[:, N], Q[:, N], node_pieces(N))
 
     return SecondOrderAdjoint(
@@ -328,7 +329,8 @@ def solve_yhat(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
             y0_samples = y_next + (a_y[:, 0] * yv + a_z[:, 0] * zv + F[:, 0]) * dt
         return yv
 
-    yhat, zhat, _ = _backward_regression(sol.bases.__getitem__, np.zeros(M), dB, dt, node)
+    yhat, zhat, _ = _backward_regression(sol.bases.__getitem__, np.zeros(M), dB, dt, node,
+                                         "yhat")
     gamma = _weight_process(a_y, a_z, grid, dB)
     rep_samples = (gamma.gamma.scalar()[:, :-1] * F[:, :-1]).sum(axis=1) * dt
     y0_b = float(y0_samples.mean())

@@ -11,10 +11,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvertibilityError, NoConvergenceError, NonFiniteError
+from .errors import InvertibilityError, NoConvergenceError
 from .model import ControlLaw, ProblemSpec
 from .paths import SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, TimeGrid, moment_norm
-from .regression import NodeBasis, NodeFit, _backward_regression, _fixed_point, blend_fits
+from .regression import (NodeBasis, NodeFit, _backward_regression, _fixed_point, _regress,
+                         _require_finite_paths, _swap_major, blend_fits)
 
 
 @dataclass
@@ -35,24 +36,19 @@ class PicardOpts:
 
 
 class Closures:
-    """Per-node regression estimates of (Y, Z) as functions of the state."""
+    """Per-node regression estimates of (Y, Z) as functions of the state: one
+    fit per node returns the pair."""
 
-    def __init__(self, y_fits, z_fits):
-        self.y_fits = y_fits
-        self.z_fits = z_fits
+    def __init__(self, fits):
+        self.fits = fits
 
-    def y_at(self, i, x):
-        return self.y_fits[i](x)
-
-    def z_at(self, i, x):
-        return self.z_fits[i](x)
+    def at(self, i, x):
+        return self.fits[i](x)
 
     def blended_with(self, old: Optional["Closures"], theta: float) -> "Closures":
         if old is None or theta >= 1.0:
             return self
-        y = [blend_fits(f, g, theta) for f, g in zip(self.y_fits, old.y_fits)]
-        z = [blend_fits(f, g, theta) for f, g in zip(self.z_fits, old.z_fits)]
-        return Closures(y, z)
+        return Closures([blend_fits(f, g, theta) for f, g in zip(self.fits, old.fits)])
 
 
 @dataclass
@@ -89,28 +85,27 @@ def simulate_forward(spec: ProblemSpec, control: ControlLaw,
 
     When the drift/diffusion read (y, z), per-node closures supply those values
     from the current state; ``closures=None`` feeds zeros (the Picard cold
-    start, also correct for decoupled problems).
+    start, also correct for decoupled problems). The steps run on a node-major
+    buffer; the panel is path-major.
     """
-    grid, dB = bundle.grid, bundle.dB
+    grid = bundle.grid
     M, N = bundle.M, grid.N
     dt = grid.dt
     nodes = grid.nodes
-    X = np.empty((M, N + 1, spec.n))
-    X[:, 0, :] = spec.x0
+    dB_rows = _swap_major(bundle.dB)
+    X = np.empty((N + 1, M, spec.n))
+    X[0] = spec.x0
     zeros = np.zeros(M)
     for i in range(N):
-        x = X[:, i, :]
-        y = closures.y_at(i, x) if closures is not None else zeros
-        z = closures.z_at(i, x) if closures is not None else zeros
+        x = X[i]
+        y, z = closures.at(i, x) if closures is not None else (zeros, zeros)
         u = control.values_at(i, nodes[i], x)
         bv = spec.b.value(nodes[i], x, y, z, u)
         sv = spec.sigma.value(nodes[i], x, y, z, u)
-        nxt = x + bv * dt + sv * dB[:, i, None]
-        if not np.all(np.isfinite(nxt)):
-            bad = np.argwhere(~np.isfinite(nxt).all(axis=1))[0, 0]
-            raise NonFiniteError(label, bad, i + 1)
-        X[:, i + 1, :] = nxt
-    return ProcessPanel(X, grid, label=label)
+        nxt = x + bv * dt + sv * dB_rows[i, :, None]
+        _require_finite_paths(nxt, label, i + 1)
+        X[i + 1] = nxt
+    return ProcessPanel(_swap_major(X), grid, label=label)
 
 
 def _ridge_nodes(bases):
@@ -126,7 +121,8 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
     projecting the centered martingale increment (Y_{i+1} - E_i[Y_{i+1}]) dB / dt
     onto the basis, and Y from regressing Y_{i+1} + g(t_i, X_i, ., Z_i, u_i) dt,
     iterating the y-argument to a fixed point (at most ``inner_max`` regressions)
-    when the driver reads it.
+    when the driver reads it; a regressand equal bit for bit to the previous
+    one reuses its fit.
 
     Returns (Y panel, Z panel, Closures, report dict); the report carries the
     node bases, which later solves along the same panel reuse.
@@ -135,40 +131,45 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
         basis = BasisSpec()
     grid, dB = bundle.grid, bundle.dB
     N, dt, nodes = grid.N, grid.dt, grid.nodes
-    Xv = X.values
+    X_rows = _swap_major(X.values)
 
-    terminal = spec.phi.value(Xv[:, N, :])
+    terminal = spec.phi.value(X_rows[N])
     # pathwise value accumulator: same driver evaluations, no intermediate
     # refitting, so Y(0) samples keep an honest cross-path spread
     y_path = np.array(terminal, dtype=float)
-    bases, y_fits = [None] * N, [None] * N
+    bases, y_coefs = [None] * N, [None] * N
 
     def basis_at(i):
-        bases[i] = NodeBasis(Xv[:, i, :], basis.degree)
+        bases[i] = NodeBasis(X_rows[i], basis.degree)
         return bases[i]
 
     def node(i, nb, y_next, m, z):
         nonlocal y_path
-        x = Xv[:, i, :]
+        x = X_rows[i]
         u = control.values_at(i, nodes[i], x)
-        y_coef = None
+        last, y_fit = None, None
 
         def step(y):
-            nonlocal y_coef
-            y_coef = nb.coefficients(y_next + spec.g.value(nodes[i], x, y, z, u) * dt)
-            return nb.phi @ y_coef
+            nonlocal last, y_fit
+            target = y_next + spec.g.value(nodes[i], x, y, z, u) * dt
+            # compared as bits: equal bits give the same fit, which == on floats
+            # does not promise (0.0 == -0.0)
+            if last is None or not np.array_equal(target.view(np.int64), last.view(np.int64)):
+                last, y_coefs[i] = target, _regress(nb, target, "Y", i)
+                y_fit = nb.phi @ y_coefs[i]
+            return y_fit
 
         y, _ = _fixed_point(step, step(y_next), inner_tol, inner_max - 1,
                             "picard inner y fixed point", i)
         y_path += spec.g.value(nodes[i], x, y, z, u) * dt
-        y_fits[i] = NodeFit(nb.transform, y_coef, nb.state_lo, nb.state_hi)
         return y
 
-    Y, Z, z_coef = _backward_regression(basis_at, terminal, dB, dt, node)
-    z_fits = [NodeFit(nb.transform, c, nb.state_lo, nb.state_hi) for nb, c in zip(bases, z_coef)]
+    Y, Z, z_coefs = _backward_regression(basis_at, terminal, dB, dt, node, "Y")
+    fits = [NodeFit(nb.transform, (yc, zc), nb.state_lo, nb.state_hi)
+            for nb, yc, zc in zip(bases, y_coefs, z_coefs)]
     report = {"ridge_nodes": _ridge_nodes(bases), "y0_samples": y_path, "bases": bases}
     return (ProcessPanel(Y, grid, label="Y"), ProcessPanel(Z, grid, label="Z"),
-            Closures(y_fits, z_fits), report)
+            Closures(fits), report)
 
 
 def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
@@ -371,7 +372,7 @@ def _solve_first_order(basis_at, terminal, dB, dt, parts_at, c_min, fp_tol, fp_m
         max_iters = max(max_iters, iters)
         return p
 
-    p, q, _ = _backward_regression(basis_at, terminal, dB, dt, node)
+    p, q, _ = _backward_regression(basis_at, terminal, dB, dt, node, "p")
     K1[:, N], _, mm = _k1_formula(parts_at(N), p[:, N], q[:, N], c_min,
                                   f"first-order adjoint node {N}")
     return p, q, K1, min(margin, mm), max_iters
@@ -404,7 +405,8 @@ def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
               + gsum * (_dot(p[:, i], lspec.L2[:, i]) + nv))
         return (m + c0 * dt) / (1.0 - c1 * dt)
 
-    phi, nu, _ = _backward_regression(bases.__getitem__, lspec.varsigma, dB, dt, phi_node)
+    phi, nu, _ = _backward_regression(bases.__getitem__, lspec.varsigma, dB, dt, phi_node,
+                                      "decoupling phi")
     return DecouplingData(p, q, K1, phi, nu, float(margin), c_min, _ridge_nodes(bases))
 
 
@@ -443,9 +445,7 @@ def solve_linear_fbsde(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
                 + lspec.b2[:, i] * dec.phi[:, i, None] + lspec.L2[:, i]
                 + lspec.c2[:, i] * W[:, i, None])
         X[:, i + 1] = x + drift * dt + diff * dB[:, i, None]
-        if not np.all(np.isfinite(X[:, i + 1])):
-            bad = np.argwhere(~np.isfinite(X[:, i + 1]).all(axis=1))[0, 0]
-            raise NonFiniteError("linear X", bad, i + 1)
+        _require_finite_paths(X[:, i + 1], "linear X", i + 1)
 
     Y = np.einsum("mti,mti->mt", dec.p, X) + dec.phi
     Z = np.einsum("mti,mti->mt", dec.K1, X) + W

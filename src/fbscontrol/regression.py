@@ -14,19 +14,23 @@ of :func:`_backward_regression`, with the node equation supplied by the caller
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import NoConvergenceError
+from .errors import NoConvergenceError, NonFiniteError
 
 RIDGE_LAMBDA = 1e-8
 _DEGENERATE_TOL = 1e-12
 
 
+@cache
 def monomial_exponents(n_dims: int, degree: int) -> np.ndarray:
-    """Exponent rows for all monomials of total degree <= degree (intercept first)."""
+    """Exponent rows for all monomials of total degree <= degree (intercept
+    first); one read-only array per (n_dims, degree)."""
     rows = [np.zeros(n_dims, dtype=int)]
     for deg in range(1, degree + 1):
         for combo in combinations_with_replacement(range(n_dims), deg):
@@ -34,7 +38,24 @@ def monomial_exponents(n_dims: int, degree: int) -> np.ndarray:
             for j in combo:
                 e[j] += 1
             rows.append(e)
-    return np.array(rows)
+    out = np.array(rows)
+    out.flags.writeable = False
+    return out
+
+
+def _require_finite(a):
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _cholesky(gram):
+    """Upper Cholesky factor of a finite Gram matrix, or None when it is not
+    positive definite."""
+    _require_finite(gram)
+    c, info = dpotrf(gram, lower=0, clean=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return c if info == 0 else None
 
 
 @dataclass
@@ -82,13 +103,13 @@ class NodeBasis:
         keep = np.flatnonzero((col_span > _DEGENERATE_TOL) | (np.arange(phi.shape[1]) == 0))
         self.transform = BasisTransform(mean, scale, exponents, keep)
         self.phi = phi[:, keep]
-        self.ridge_used = False
         gram = self.phi.T @ self.phi
-        try:
-            self._factor = cho_factor(gram)
-        except LinAlgError:
-            self.ridge_used = True
-            self._factor = cho_factor(gram + RIDGE_LAMBDA * np.eye(gram.shape[0]))
+        self._factor = _cholesky(gram)
+        self.ridge_used = self._factor is None
+        if self.ridge_used:
+            self._factor = _cholesky(gram + RIDGE_LAMBDA * np.eye(gram.shape[0]))
+            if self._factor is None:
+                raise LinAlgError("ridged Gram matrix is not positive definite")
 
     @property
     def n_features(self) -> int:
@@ -96,7 +117,12 @@ class NodeBasis:
 
     def coefficients(self, target: np.ndarray) -> np.ndarray:
         """Least-squares coefficients; target (M,) or (M, D) -> (K,) or (K, D)."""
-        return cho_solve(self._factor, self.phi.T @ target)
+        rhs = self.phi.T @ target
+        _require_finite(rhs)
+        coef, info = dpotrs(self._factor, rhs, lower=0)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        return coef
 
     def fit(self, target: np.ndarray) -> np.ndarray:
         """Fitted values at the conditioning points (the regression estimate of E[target | state])."""
@@ -108,7 +134,9 @@ class NodeFit:
     """Conditional-expectation estimate reusable at new state values.
 
     Evaluation states are clamped to the fitting sample's range so polynomial
-    extrapolation cannot blow up closure feedback in forward simulations.
+    extrapolation cannot blow up closure feedback in forward simulations. A
+    tuple of coefficient arrays gives a tuple of estimates, which share one
+    design matrix.
     """
 
     transform: BasisTransform
@@ -122,47 +150,83 @@ class NodeFit:
             state = state.reshape(state.shape[0], -1)
         if self.state_lo is not None:
             state = np.clip(state, self.state_lo, self.state_hi)
-        return self.transform.design(state) @ self.coef
+        phi = self.transform.design(state)
+        if isinstance(self.coef, tuple):
+            return tuple(phi @ c for c in self.coef)
+        return phi @ self.coef
 
 
 def blend_fits(new, old, theta: float):
-    """Damped closure: theta * new + (1 - theta) * old (None old -> new)."""
+    """Damped closure of tuple-valued fits: theta * new + (1 - theta) * old,
+    entry by entry (None old -> new)."""
     if old is None or theta >= 1.0:
         return new
 
     def blended(state):
-        return theta * new(state) + (1.0 - theta) * old(state)
+        return tuple(theta * a + (1.0 - theta) * b for a, b in zip(new(state), old(state)))
 
     return blended
 
 
-def _backward_regression(basis_at, terminal, dB, dt, node):
-    """One regression Monte Carlo sweep of a backward equation.
+def _swap_major(a):
+    """C-contiguous copy with the first two axes swapped: a path-major
+    (M, N+1, ...) panel becomes node-major (N+1, M, ...) and back."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+
+
+def _require_finite_paths(values, what, node):
+    """Raise NonFiniteError at the first path whose values are not all finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        ok = finite.reshape(len(values), -1).all(axis=1)
+        raise NonFiniteError(what, np.flatnonzero(~ok)[0], node)
+
+
+def _regress(nb, target, what, node):
+    """nb.coefficients(target); a non-finite target, which always makes the
+    intercept's right-hand side non-finite, raises NonFiniteError naming
+    ``what``, ``node`` and the first bad path."""
+    try:
+        return nb.coefficients(target)
+    except ValueError:
+        _require_finite_paths(target, what, node)
+        raise
+
+
+def _backward_regression(basis_at, terminal, dB, dt, node, what):
+    """One regression Monte Carlo sweep of the backward equation ``what``.
 
     Sets v_N = terminal. At each node i = N-1, ..., 0 it regresses on the basis
     ``basis_at(i)`` the conditional mean m = E_i[v_{i+1}] and the centred
     martingale projection w = E_i[(v_{i+1} - m) dB_i / dt], then sets
     v_i = node(i, nb, v_{i+1}, m, w). Per-path values may be scalars, vectors
-    or matrices (regressed flattened). Returns the panels v and w, with
-    w_N = w_{N-1}, and the per-node regression coefficients of w.
+    or matrices (regressed flattened). A non-finite regressand v_{i+1} raises
+    NonFiniteError naming ``what``, node i+1 and its first bad path. Returns
+    the path-major panels v and w, with w_N = w_{N-1}, and the per-node
+    regression coefficients of w.
+
+    The loop runs on node-major buffers, so each node reads and writes
+    contiguous rows.
     """
     M, N = dB.shape
+    dB_rows = _swap_major(dB)
     shape = np.shape(terminal)[1:]
-    v = np.empty((M, N + 1) + shape)
-    w = np.zeros((M, N + 1) + shape)
+    v = np.empty((N + 1, M) + shape)
+    w = np.zeros((N + 1, M) + shape)
     w_coef = [None] * N
-    v[:, N] = terminal
+    v[N] = terminal
     for i in range(N - 1, -1, -1):
         nb = basis_at(i)
-        v_next = v[:, i + 1]
+        v_next = v[i + 1]
         flat = v_next.reshape(M, -1) if v_next.ndim > 2 else v_next
-        m = nb.fit(flat)
-        db = dB[:, i].reshape((M,) + (1,) * (flat.ndim - 1))
+        m = nb.phi @ _regress(nb, flat, what, i + 1)
+        db = dB_rows[i].reshape((M,) + (1,) * (flat.ndim - 1))
         w_coef[i] = nb.coefficients((flat - m) * db / dt)
-        w[:, i] = (nb.phi @ w_coef[i]).reshape(v_next.shape)
-        v[:, i] = node(i, nb, v_next, m.reshape(v_next.shape), w[:, i])
-    w[:, N] = w[:, N - 1]
-    return v, w, w_coef
+        w[i] = (nb.phi @ w_coef[i]).reshape(v_next.shape)
+        v[i] = node(i, nb, v_next, m.reshape(v_next.shape), w[i])
+    w[N] = w[N - 1]
+    v = _swap_major(v)  # rebinding frees the node-major v before w is copied
+    return v, _swap_major(w), w_coef
 
 
 def _fixed_point(step, start, tol, cap, what, node):

@@ -295,14 +295,14 @@ def _quad_vector(sec, tag, v, n):
     return out
 
 
-def _residual_backward(sol, state_at, terminal, node, Y, Z):
+def _residual_backward(sol, state_at, terminal, node, Y, Z, what):
     """Independent regression solve of a variational backward equation on the
     conditioning state ``state_at(i)``, with the Picard solve's basis degree,
     differenced against the relation values (Y, Z); the Z residual is 0 at T.
     The bases are built node by node, so none is kept."""
     degree = sol.bases[0].degree
     y, z, _ = _backward_regression(lambda i: NodeBasis(state_at(i), degree), terminal,
-                                   sol.bundle.dB, sol.X.grid.dt, node)
+                                   sol.bundle.dB, sol.X.grid.dt, node, what)
     zres = z - Z
     zres[:, -1] = 0.0
     return y - Y, zres
@@ -324,7 +324,8 @@ def _residual_backward_y1(spec, frame, sol, adj1, dwin, dvals, X1, Y1, Z1, mask)
         return (m_next + drv0 * dt) / (1.0 - parts["gy"] * dt)
 
     return _residual_backward(sol, lambda i: np.concatenate([frame.X[:, i], X1[:, i]], axis=1),
-                              _dot(spec.phi.dx(frame.X[:, -1]), X1[:, -1]), node, Y1, Z1)
+                              _dot(spec.phi.dx(frame.X[:, -1]), X1[:, -1]), node, Y1, Z1,
+                              "res_y1")
 
 
 def _residual_backward_y2(spec, frame, sol, adj1, dwin, X1, Y1, X2, Y2, Z2, mask):
@@ -347,7 +348,7 @@ def _residual_backward_y2(spec, frame, sol, adj1, dwin, X1, Y1, X2, Y2, Z2, mask
                 + 0.5 * np.einsum("mi,mij,mj->m", X1[:, -1], spec.phi.dxx(XN), X1[:, -1]))
     return _residual_backward(
         sol, lambda i: np.concatenate([frame.X[:, i], X1[:, i], X2[:, i]], axis=1),
-        terminal, node, Y2, Z2)
+        terminal, node, Y2, Z2, "res_y2")
 
 
 @dataclass

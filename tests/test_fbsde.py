@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import fbscontrol as fc
-from fbscontrol.errors import InvertibilityError, NoConvergenceError
-from fbscontrol.fbsde import LinearFbsdeSpec, solve_decoupling, solve_linear_fbsde
+from fbscontrol.errors import InvertibilityError, NoConvergenceError, NonFiniteError
+from fbscontrol.fbsde import LinearFbsdeSpec, simulate_forward, solve_decoupling, solve_linear_fbsde
 from fbscontrol.model import Coefficient, TerminalMap, ProblemSpec, RealControlSet
+from fbscontrol.regression import NodeBasis
 
 from conftest import make_zero_problem
 
@@ -223,6 +224,63 @@ def test_picard_inner_loop_raises_when_capped():
                                 fc.PicardOpts(inner_tol=0.0, inner_max=3))
     assert err.value.residual > 0
     assert err.value.detail == "node 15"
+
+
+def test_picard_inner_skip_is_bit_identical(monkeypatch):
+    # coupled_z's driver ignores y, so every second inner regressand repeats
+    # the first bit for bit and its regression is skipped
+    bench = fc.benchmark_coupled_z(0.1)
+    grid = fc.TimeGrid(1.0, 16)
+    bundle = fc.sample_brownian(grid, 400, fc.SeedSpec(7))
+    regressions = []
+    coefficients = NodeBasis.coefficients
+    monkeypatch.setattr(NodeBasis, "coefficients",
+                        lambda nb, target: regressions.append(1) or coefficients(nb, target))
+    sol = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle, fc.PicardOpts())
+    skipped = len(regressions)
+    regressions.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "array_equal", lambda a, b: False)  # every inner step regresses
+        ref = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle, fc.PicardOpts())
+    assert ref.sweeps == sol.sweeps
+    assert len(regressions) == skipped + sol.sweeps * grid.N
+    for a, b in ((sol.X, ref.X), (sol.Y, ref.Y), (sol.Z, ref.Z)):
+        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(sol.y0_samples, ref.y0_samples)
+
+
+def test_nonfinite_driver_names_solve_node_and_path():
+    spec = make_zero_problem()
+    grid = fc.TimeGrid(1.0, 16)
+    bundle = fc.sample_brownian(grid, 200, fc.SeedSpec(7))
+    zs = lambda t, x, y, z, u: np.zeros(x.shape[0])
+
+    def g(t, x, y, z, u):
+        out = np.zeros(x.shape[0])
+        if t == grid.nodes[5]:
+            out[17] = np.nan
+        return out
+
+    spec.g = Coefficient(g, lambda t, x, y, z, u: np.zeros_like(x), zs, zs, out="scalar")
+    with pytest.raises(NonFiniteError) as err:
+        fc.solve_coupled_picard(spec, ZERO_CTRL, bundle, fc.PicardOpts())
+    assert (err.value.label, err.value.node, err.value.path) == ("Y", 5, 17)
+
+
+def test_simulate_forward_layout_matches_path_major_loop(cz_small):
+    bench, bundle, sol, _, _ = cz_small
+    spec, control, grid = bench.spec, bench.optimal_control, bundle.grid
+    X = simulate_forward(spec, control, sol.closures, bundle).values
+    ref = np.empty((bundle.M, grid.N + 1, spec.n))
+    ref[:, 0] = spec.x0
+    for i in range(grid.N):
+        x = ref[:, i]
+        y, z = sol.closures.at(i, x)
+        u = control.values_at(i, grid.nodes[i], x)
+        ref[:, i + 1] = (x + spec.b.value(grid.nodes[i], x, y, z, u) * grid.dt
+                         + spec.sigma.value(grid.nodes[i], x, y, z, u) * bundle.dB[:, i, None])
+    assert X.shape == ref.shape and X.flags["C_CONTIGUOUS"]
+    assert np.abs(X - ref).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
