@@ -49,12 +49,10 @@ def _require_finite(a):
 
 
 def _cholesky(gram):
-    """Upper Cholesky factor of a finite Gram matrix, or None when it is not
+    """Upper Cholesky factor of a finite Gram matrix; None if it is not
     positive definite."""
     _require_finite(gram)
     c, info = dpotrf(gram, lower=0, clean=0)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
     return c if info == 0 else None
 
 
@@ -119,10 +117,7 @@ class NodeBasis:
         """Least-squares coefficients; target (M,) or (M, D) -> (K,) or (K, D)."""
         rhs = self.phi.T @ target
         _require_finite(rhs)
-        coef, info = dpotrs(self._factor, rhs, lower=0)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of dpotrs")
-        return coef
+        return dpotrs(self._factor, rhs, lower=0)[0]
 
     def fit(self, target: np.ndarray) -> np.ndarray:
         """Fitted values at the conditioning points (the regression estimate of E[target | state])."""
@@ -206,10 +201,10 @@ def _backward_regression(basis_at, terminal, dB, dt, node, what):
     regression coefficients of w.
 
     The loop runs on node-major buffers, so each node reads and writes
-    contiguous rows.
+    contiguous rows. dB_i is read in place: it is used once per node, and a
+    transposed copy would hold one more panel for the whole solve.
     """
     M, N = dB.shape
-    dB_rows = _swap_major(dB)
     shape = np.shape(terminal)[1:]
     v = np.empty((N + 1, M) + shape)
     w = np.zeros((N + 1, M) + shape)
@@ -220,7 +215,7 @@ def _backward_regression(basis_at, terminal, dB, dt, node, what):
         v_next = v[i + 1]
         flat = v_next.reshape(M, -1) if v_next.ndim > 2 else v_next
         m = nb.phi @ _regress(nb, flat, what, i + 1)
-        db = dB_rows[i].reshape((M,) + (1,) * (flat.ndim - 1))
+        db = dB[:, i].reshape((M,) + (1,) * (flat.ndim - 1))
         w_coef[i] = nb.coefficients((flat - m) * db / dt)
         w[i] = (nb.phi @ w_coef[i]).reshape(v_next.shape)
         v[i] = node(i, nb, v_next, m.reshape(v_next.shape), w[i])
