@@ -48,14 +48,6 @@ def _require_finite(a):
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _cholesky(gram):
-    """Upper Cholesky factor of a finite Gram matrix; None if it is not
-    positive definite."""
-    _require_finite(gram)
-    c, info = dpotrf(gram, lower=0, clean=0)
-    return c if info == 0 else None
-
-
 @dataclass
 class BasisTransform:
     """Everything needed to rebuild a node's design matrix at new state values."""
@@ -102,11 +94,13 @@ class NodeBasis:
         self.transform = BasisTransform(mean, scale, exponents, keep)
         self.phi = phi[:, keep]
         gram = self.phi.T @ self.phi
-        self._factor = _cholesky(gram)
-        self.ridge_used = self._factor is None
+        _require_finite(gram)
+        self._factor, info = dpotrf(gram, lower=0, clean=0)
+        self.ridge_used = info > 0
         if self.ridge_used:
-            self._factor = _cholesky(gram + RIDGE_LAMBDA * np.eye(gram.shape[0]))
-            if self._factor is None:
+            ridged = gram + RIDGE_LAMBDA * np.eye(gram.shape[0])
+            self._factor, info = dpotrf(ridged, lower=0, clean=0)
+            if info > 0:
                 raise LinAlgError("ridged Gram matrix is not positive definite")
 
     @property
