@@ -17,7 +17,7 @@ from .model import (GENERAL, LINEAR_IN_Z, BenchmarkProblem, BoxControlSet, Coeff
                     ProblemSpec, RealControlSet, TerminalMap, benchmark_coupled_z,
                     benchmark_lq, constant_control, lq_value_rk4, riccati_rk4,
                     tabulate_control, validate_spec)
-from .fbsde import (BasisSpec, DecouplingData, EstimateReport, FbsdeSolution,
+from .fbsde import (DecouplingData, EstimateReport, FbsdeSolution,
                     LinearFbsdeSpec, PicardOpts, check_lbeta_estimate,
                     simulate_forward, solve_bsde_regression, solve_coupled_picard,
                     solve_decoupling, solve_linear_fbsde)

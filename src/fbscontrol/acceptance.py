@@ -22,7 +22,7 @@ import numpy as np
 
 from .adjoint import (AdjointOpts, solve_first_order_adjoint, solve_gamma,
                       solve_second_order_adjoint, solve_yhat)
-from .fbsde import (BasisSpec, LinearFbsdeSpec, PicardOpts, check_lbeta_estimate,
+from .fbsde import (LinearFbsdeSpec, PicardOpts, check_lbeta_estimate,
                     solve_coupled_picard, solve_decoupling, solve_linear_fbsde)
 from .hamiltonian import MpOpts, check_maximum_principle
 from .model import (Coefficient, ProblemSpec, RealControlSet, TerminalMap,
@@ -63,7 +63,7 @@ class AcceptanceSession:
         self.seed = seed
         self.paths = paths
         self.steps = steps
-        self.picard = PicardOpts(basis=BasisSpec(2))
+        self.picard = PicardOpts(degree=2)
         self.adj_opts = AdjointOpts()
 
     # -- shared stacks -----------------------------------------------------

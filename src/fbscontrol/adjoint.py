@@ -34,7 +34,6 @@ class FirstOrderAdjoint:
     c_min: float
     max_abs_q: float
     max_inner_iterations: int
-    ridge_nodes: list
     frame: RefFrame
 
     @property
@@ -58,7 +57,6 @@ class SecondOrderAdjoint:
     H_y: np.ndarray            # (M, N+1)
     H_z: np.ndarray
     max_inner_iterations: int
-    ridge_nodes: list
 
     @property
     def P_values(self):
@@ -103,7 +101,7 @@ def solve_first_order_adjoint(spec, sol: FbsdeSolution, control,
         frame.first, opts.c_min, opts.fp_tol, opts.fp_max)
     return FirstOrderAdjoint(
         ProcessPanel(p, grid, "p"), ProcessPanel(q, grid, "q"), ProcessPanel(K1, grid, "K1"),
-        float(margin), opts.c_min, float(np.abs(q).max()), max_iters, list(sol.ridge_nodes), frame,
+        float(margin), opts.c_min, float(np.abs(q).max()), max_iters, frame,
     )
 
 
@@ -244,7 +242,7 @@ def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint
 
     return SecondOrderAdjoint(
         ProcessPanel(P, grid, "P"), ProcessPanel(Q, grid, "Q"), ProcessPanel(K2, grid, "K2"),
-        Hy, Hz, max_iters, list(sol.ridge_nodes),
+        Hy, Hz, max_iters,
     )
 
 

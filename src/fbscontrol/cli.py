@@ -22,7 +22,7 @@ from . import __version__
 from .adjoint import (AdjointOpts, solve_first_order_adjoint, solve_gamma,
                       solve_second_order_adjoint)
 from .errors import ConfigError, FbsControlError, InvertibilityError, NoConvergenceError
-from .fbsde import BasisSpec, PicardOpts, solve_coupled_picard
+from .fbsde import PicardOpts, solve_coupled_picard
 from .hamiltonian import MpOpts, check_maximum_principle
 from .model import benchmark_coupled_z, benchmark_lq, constant_control
 from .paths import SeedSpec, TimeGrid, sample_brownian
@@ -45,7 +45,6 @@ class SolverConfig:
     basis_degree: int = 2
     picard_tol: float = 1e-6
     picard_max: int = 50
-    damping: float = 1.0
     c_min: float = 0.1
 
 
@@ -98,8 +97,6 @@ class RunConfig:
             raise ConfigError("solver.paths", f"must be >= 1, got {self.solver.paths}")
         if self.solver.picard_tol <= 0:
             raise ConfigError("solver.picard_tol", "must be positive")
-        if not 0 < self.solver.damping <= 1:
-            raise ConfigError("solver.damping", "must lie in (0, 1]")
         if self.problem.T <= 0:
             raise ConfigError("problem.T", "must be positive")
         if self.problem.name not in ("lq", "coupled_z"):
@@ -130,8 +127,7 @@ def select_control(cfg: RunConfig, bench):
 
 def _opts(cfg: RunConfig):
     picard = PicardOpts(max_sweeps=cfg.solver.picard_max, tol=cfg.solver.picard_tol,
-                        damping=cfg.solver.damping,
-                        basis=BasisSpec(cfg.solver.basis_degree))
+                        degree=cfg.solver.basis_degree)
     adj = AdjointOpts(c_min=cfg.solver.c_min)
     return picard, adj
 

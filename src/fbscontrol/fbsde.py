@@ -15,40 +15,16 @@ from .errors import InvertibilityError, NoConvergenceError
 from .model import ControlLaw, ProblemSpec
 from .paths import SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, TimeGrid, moment_norm
 from .regression import (NodeBasis, NodeFit, _backward_regression, _fixed_point, _regress,
-                         _require_finite_paths, _swap_major, blend_fits)
-
-
-@dataclass
-class BasisSpec:
-    """Polynomial regression basis: total degree over the conditioning state."""
-
-    degree: int = 2
+                         _require_finite_paths, _swap_major)
 
 
 @dataclass
 class PicardOpts:
     max_sweeps: int = 50
     tol: float = 1e-6
-    damping: float = 1.0
-    basis: BasisSpec = field(default_factory=BasisSpec)
+    degree: int = 2          # total degree of the polynomial regression basis
     inner_tol: float = 1e-10
     inner_max: int = 10
-
-
-class Closures:
-    """Per-node regression estimates of (Y, Z) as functions of the state: one
-    fit per node returns the pair."""
-
-    def __init__(self, fits):
-        self.fits = fits
-
-    def at(self, i, x):
-        return self.fits[i](x)
-
-    def blended_with(self, old: Optional["Closures"], theta: float) -> "Closures":
-        if old is None or theta >= 1.0:
-            return self
-        return Closures([blend_fits(f, g, theta) for f, g in zip(self.fits, old.fits)])
 
 
 @dataclass
@@ -59,13 +35,14 @@ class FbsdeSolution:
     control: ControlLaw
     bundle: BrownianBundle
     residual_trace: list
-    converged: bool
     sweeps: int
     y0_samples: np.ndarray
-    ridge_nodes: list
-    closures: Optional[Closures] = None
-    damped: bool = False
-    bases: Optional[list] = None   # the final sweep's NodeBasis per node 0..N-1
+    closures: list   # the final sweep's NodeFit per node 0..N-1, returning (Y, Z)
+    bases: list      # the final sweep's NodeBasis per node 0..N-1
+
+    @property
+    def ridge_nodes(self) -> list:
+        return _ridge_nodes(self.bases)
 
     @property
     def value(self) -> float:
@@ -79,14 +56,14 @@ class FbsdeSolution:
 
 
 def simulate_forward(spec: ProblemSpec, control: ControlLaw,
-                     closures: Optional[Closures], bundle: BrownianBundle,
+                     closures: Optional[list], bundle: BrownianBundle,
                      label: str = "X") -> ProcessPanel:
     """Euler-Maruyama forward panel X_{i+1} = X_i + b dt + sigma dB_i.
 
-    When the drift/diffusion read (y, z), per-node closures supply those values
-    from the current state; ``closures=None`` feeds zeros (the Picard cold
-    start, also correct for decoupled problems). The steps run on a node-major
-    buffer; the panel is path-major.
+    When the drift/diffusion read (y, z), the per-node fits ``closures[i]``
+    supply those values from the current state; ``closures=None`` feeds zeros
+    (the Picard cold start, also correct for decoupled problems). The steps run
+    on a node-major buffer; the panel is path-major.
     """
     grid = bundle.grid
     M, N = bundle.M, grid.N
@@ -98,7 +75,7 @@ def simulate_forward(spec: ProblemSpec, control: ControlLaw,
     zeros = np.zeros(M)
     for i in range(N):
         x = X[i]
-        y, z = closures.at(i, x) if closures is not None else (zeros, zeros)
+        y, z = closures[i](x) if closures is not None else (zeros, zeros)
         u = control.values_at(i, nodes[i], x)
         bv = spec.b.value(nodes[i], x, y, z, u)
         sv = spec.sigma.value(nodes[i], x, y, z, u)
@@ -113,7 +90,7 @@ def _ridge_nodes(bases):
 
 
 def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPanel,
-                          bundle: BrownianBundle, basis: BasisSpec = None,
+                          bundle: BrownianBundle, degree: int = 2,
                           inner_tol: float = 1e-10, inner_max: int = 10):
     """Backward regression solve of the Y/Z pair along a given forward panel.
 
@@ -124,11 +101,9 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
     when the driver reads it; a regressand equal bit for bit to the previous
     one reuses its fit.
 
-    Returns (Y panel, Z panel, Closures, report dict); the report carries the
-    node bases, which later solves along the same panel reuse.
+    Returns (Y panel, Z panel, per-node (Y, Z) NodeFits, report dict); the
+    report carries the node bases, which later solves along the same panel reuse.
     """
-    if basis is None:
-        basis = BasisSpec()
     grid, dB = bundle.grid, bundle.dB
     N, dt, nodes = grid.N, grid.dt, grid.nodes
     X_rows = _swap_major(X.values)
@@ -140,7 +115,7 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
     bases, y_coefs = [None] * N, [None] * N
 
     def basis_at(i):
-        bases[i] = NodeBasis(X_rows[i], basis.degree)
+        bases[i] = NodeBasis(X_rows[i], degree)
         return bases[i]
 
     def node(i, nb, y_next, m, z):
@@ -167,9 +142,8 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
     Y, Z, z_coefs = _backward_regression(basis_at, terminal, dB, dt, node, "Y")
     fits = [NodeFit(nb.transform, (yc, zc), nb.state_lo, nb.state_hi)
             for nb, yc, zc in zip(bases, y_coefs, z_coefs)]
-    report = {"ridge_nodes": _ridge_nodes(bases), "y0_samples": y_path, "bases": bases}
-    return (ProcessPanel(Y, grid, label="Y"), ProcessPanel(Z, grid, label="Z"),
-            Closures(fits), report)
+    report = {"y0_samples": y_path, "bases": bases}
+    return ProcessPanel(Y, grid, label="Y"), ProcessPanel(Z, grid, label="Z"), fits, report
 
 
 def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
@@ -187,13 +161,10 @@ def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
     closures = None
     prev = None
     trace = []
-    damped = opts.damping < 1.0
-    sweeps = 0
     for sweep in range(1, opts.max_sweeps + 1):
-        sweeps = sweep
         X = simulate_forward(spec, control, closures, bundle)
-        Y, Z, fits, rep = solve_bsde_regression(
-            spec, control, X, bundle, opts.basis, opts.inner_tol, opts.inner_max
+        Y, Z, closures, rep = solve_bsde_regression(
+            spec, control, X, bundle, opts.degree, opts.inner_tol, opts.inner_max
         )
         if prev is not None:
             res = max(
@@ -203,14 +174,12 @@ def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
             )
             trace.append(res)
             if res <= opts.tol:
-                return FbsdeSolution(X, Y, Z, control, bundle, trace, True, sweep,
-                                     rep["y0_samples"], rep["ridge_nodes"], fits, damped,
-                                     rep["bases"])
+                return FbsdeSolution(X, Y, Z, control, bundle, trace, sweep,
+                                     rep["y0_samples"], closures, rep["bases"])
         prev = (X.values, Y.values, Z.values)
-        closures = fits.blended_with(closures, opts.damping)
         del rep  # free this sweep's bases before the next sweep builds its own
     err = NoConvergenceError("picard", trace[-1] if trace else np.inf,
-                             detail=f"{sweeps} sweeps")
+                             detail=f"{opts.max_sweeps} sweeps")
     err.trace = trace
     raise err
 

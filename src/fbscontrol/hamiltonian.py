@@ -145,11 +145,12 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
     worst = (0.0, None, 0.0)
     refined = False
 
-    def scan(i, ctx, u_candidates):
+    def scan(i, ctx, h_ref, u_candidates):
         nonlocal min_z, worst
         best_u, best_mean = None, np.inf
         for u_pt in u_candidates:
-            gap = hamiltonian_gap(ctx, u_pt)
+            # hamiltonian_gap(ctx, u_pt), with the node's reference term computed once
+            gap = eval_script_H(ctx, u_pt) - h_ref
             mg = float(gap.mean())
             se = float(gap.std(ddof=1) / np.sqrt(len(gap))) if len(gap) > 1 else 0.0
             zsc = _z_score(mg, se)
@@ -164,7 +165,8 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
 
     for i in node_idx:
         ctx = build_context(spec, sol, adj1, adj2, int(i), opts.c_min)
-        best_u = scan(i, ctx, u_grid)
+        h_ref = eval_script_H(ctx, ctx.frame.state(ctx.node)[4])
+        best_u = scan(i, ctx, h_ref, u_grid)
         if spec.control_set.is_continuous and opts.refine_rounds > 0 and len(u_grid) > 1:
             refined = True
             span = (u_grid.max(axis=0) - u_grid.min(axis=0)) / max(len(u_grid) - 1, 1)
@@ -172,7 +174,7 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
             for _ in range(opts.refine_rounds):
                 span = span / 2.0
                 local = [center - span, center + span]
-                better = scan(i, ctx, local)
+                better = scan(i, ctx, h_ref, local)
                 center = better if better is not None else center
 
     verdict = "PASS" if min_z >= opts.z_threshold else "FAIL"

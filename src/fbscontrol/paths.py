@@ -9,6 +9,7 @@ work is partitioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +36,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.N
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.N + 1)
+        """The N + 1 grid times, computed once per grid and read-only."""
+        nodes = np.linspace(0.0, self.T, self.N + 1)
+        nodes.flags.writeable = False
+        return nodes
 
     def node_of(self, t: float) -> int:
         """Nearest grid index of a time, which must sit on the grid."""

@@ -145,18 +145,6 @@ class NodeFit:
         return phi @ self.coef
 
 
-def blend_fits(new, old, theta: float):
-    """Damped closure of tuple-valued fits: theta * new + (1 - theta) * old,
-    entry by entry (None old -> new)."""
-    if old is None or theta >= 1.0:
-        return new
-
-    def blended(state):
-        return tuple(theta * a + (1.0 - theta) * b for a, b in zip(new(state), old(state)))
-
-    return blended
-
-
 def _swap_major(a):
     """C-contiguous copy with the first two axes swapped: a path-major
     (M, N+1, ...) panel becomes node-major (N+1, M, ...) and back."""

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import linregress
 
 from ._frame import RefFrame
 from .adjoint import (AdjointOpts, FirstOrderAdjoint, SecondOrderAdjoint, YhatSolution,
@@ -400,16 +399,24 @@ class SlopeFit:
 
 def fit_loglog_slope(eps, values, excluded=()):
     """Least-squares slope of log(value) vs log(eps); 95% half-width from the
-    regression standard error. Degenerate (non-positive) values flag the fit."""
+    regression standard error. Degenerate (non-positive) values flag the fit.
+    The slope and standard error follow scipy.stats.linregress operation by
+    operation, so they are its bits."""
     eps = np.asarray(eps, dtype=float)
     values = np.asarray(values, dtype=float)
     keep = np.array([j not in excluded for j in range(len(eps))])
     keep &= values > 0
-    if keep.sum() < 2:
-        return SlopeFit(float("nan"), float("nan"), int(keep.sum()), degenerate=True)
-    res = linregress(np.log(eps[keep]), np.log(values[keep]))
-    hw = 1.96 * res.stderr if np.isfinite(res.stderr) else float("nan")
-    return SlopeFit(float(res.slope), float(hw), int(keep.sum()))
+    n = int(keep.sum())
+    if n < 2:
+        return SlopeFit(float("nan"), float("nan"), n, degenerate=True)
+    ssxm, ssxym, _, ssym = np.cov(np.log(eps[keep]), np.log(values[keep]), bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = float("nan") if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (n - 2)) if n > 2 else 0.0
+    hw = 1.96 * stderr if np.isfinite(stderr) else float("nan")
+    return SlopeFit(float(ssxym / ssxm), float(hw), n)
 
 
 @dataclass
@@ -477,8 +484,8 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
     norms, together with the scalar expansion defect |J(u^eps) - J(u) - Y2(0)|.
 
     Precomputed reference solutions/adjoints may be passed to share work across
-    experiments; epsilon entries whose spiked solve fails (or needed Picard
-    damping) are flagged and excluded from the slope fits.
+    experiments; epsilon entries whose solves fail (no convergence or an
+    invertibility guard) are flagged and excluded from the slope fits.
     """
     grid = bundle.grid
     if eps_ladder is None:
@@ -528,8 +535,6 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
             yhat_pairs.append((float("nan"),) * 4)
             defect.append(float("nan"))
             continue
-        if sol_eps.damped or sol.damped:
-            flags[j] = "picard damping engaged"
         diffs = compute_spike_diffs(sol, sol_eps, var)
         panels = {
             "xi1": diffs.xi1, "eta1": diffs.eta1, "zeta1": diffs.zeta1,

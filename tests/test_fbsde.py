@@ -135,7 +135,8 @@ def test_picard_decoupled_two_sweeps(lq_small):
 def test_picard_coupled_trace(cz_small):
     _, _, sol, _, _ = cz_small
     trace = sol.residual_trace
-    assert sol.converged
+    # a returned solution has converged (otherwise NoConvergenceError is raised)
+    assert len(trace) == sol.sweeps - 1
     assert trace[-1] <= 1e-6
     # strictly decreasing after the first recorded sweep
     assert all(b < a for a, b in zip(trace[1:], trace[2:]))
@@ -183,19 +184,6 @@ def test_picard_grid_self_convergence():
         errs.append(np.abs(shared).mean(axis=0).max() / scale)
     assert errs[1] < errs[0]
     assert errs[1] <= 0.1
-
-
-def test_picard_damping_converges():
-    bench = fc.benchmark_coupled_z(0.1)
-    grid = fc.TimeGrid(1.0, 32)
-    bundle = fc.sample_brownian(grid, 500, fc.SeedSpec(16))
-    plain = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle,
-                                    fc.PicardOpts())
-    damped = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle,
-                                     fc.PicardOpts(damping=0.5))
-    assert damped.converged and damped.damped and not plain.damped
-    assert damped.sweeps >= plain.sweeps  # half steps slow the contraction
-    assert abs(damped.value - plain.value) <= 5e-3
 
 
 def test_picard_no_convergence_reports_trace():
@@ -275,7 +263,7 @@ def test_simulate_forward_layout_matches_path_major_loop(cz_small):
     ref[:, 0] = spec.x0
     for i in range(grid.N):
         x = ref[:, i]
-        y, z = sol.closures.at(i, x)
+        y, z = sol.closures[i](x)
         u = control.values_at(i, grid.nodes[i], x)
         ref[:, i + 1] = (x + spec.b.value(grid.nodes[i], x, y, z, u) * grid.dt
                          + spec.sigma.value(grid.nodes[i], x, y, z, u) * bundle.dB[:, i, None])

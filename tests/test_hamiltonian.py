@@ -101,6 +101,19 @@ def test_mp_pass_coupled_z(cz_small):
     assert gaps[1.0] == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("stack", ["lq_small", "cz_small"])
+def test_mp_table_gaps_match_hamiltonian_gap_bitwise(stack, request):
+    bench, _, sol, adj1, adj2 = request.getfixturevalue(stack)
+    rep = fc.check_maximum_principle(bench.spec, bench.optimal_control, sol, adj1, adj2,
+                                     fc.MpOpts(n_nodes=4))
+    grid = sol.X.grid
+    rows = rep.table[:3] + rep.table[-3:]
+    for t, u, mean_gap, _, _ in rows:
+        node = int(np.flatnonzero(grid.nodes == t)[0])
+        ctx = build_context(bench.spec, sol, adj1, adj2, node)
+        assert mean_gap == float(hamiltonian_gap(ctx, np.array(u)).mean())
+
+
 def test_mp_report_serialization(tmp_path, cz_small):
     bench, _, sol, adj1, adj2 = cz_small
     rep = fc.check_maximum_principle(bench.spec, bench.optimal_control, sol, adj1, adj2,

@@ -21,6 +21,12 @@ def test_grid_nodes():
         g.node_of(0.3)
     with pytest.raises(ValueError):
         fc.TimeGrid(1.0, 1)
+    # computed once per grid, read-only, and the linspace values bit for bit
+    g = fc.TimeGrid(0.7, 64)
+    assert g.nodes is g.nodes
+    assert np.array_equal(g.nodes, np.linspace(0.0, 0.7, 65))
+    with pytest.raises(ValueError):
+        g.nodes[3] = 1.0
 
 
 def test_sampling_deterministic():

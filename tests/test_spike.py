@@ -222,6 +222,34 @@ def test_fit_loglog_slope_exact_and_degenerate():
     assert excl.slope == pytest.approx(1.5, abs=1e-12)
 
 
+def test_fit_loglog_slope_matches_linregress_bitwise():
+    from scipy.stats import linregress
+
+    def expected(eps, vals):
+        res = linregress(np.log(eps), np.log(vals))
+        hw = 1.96 * res.stderr if np.isfinite(res.stderr) else float("nan")
+        return float(res.slope), float(hw)
+
+    def same(a, b):
+        return np.array(a).tobytes() == np.array(b).tobytes()
+
+    rng = np.random.default_rng(5)
+    eps5 = 2.0 ** -np.arange(4, 9)
+    noisy = eps5 ** 1.3 * np.exp(0.2 * rng.standard_normal(5))
+    cases = [
+        (eps5[:2], noisy[:2], ()),                         # n = 2: zero stderr
+        (eps5, noisy, ()),                                 # n = 5, random data
+        (eps5, np.r_[7.0, noisy[1:]], (0,)),               # excluded rung
+        (eps5, np.full(5, 0.3), ()),                       # flat y: r is NaN
+        (eps5[:2], np.full(2, 0.3), ()),                   # n = 2, flat y
+    ]
+    for eps, vals, excluded in cases:
+        sf = fit_loglog_slope(eps, vals, excluded)
+        keep = [j for j in range(len(eps)) if j not in excluded]
+        assert same((sf.slope, sf.half_width), expected(eps[keep], vals[keep]))
+        assert sf.n_points == len(keep)
+
+
 def test_order_experiment_small_coupled():
     bench = fc.benchmark_coupled_z(0.1)
     grid = fc.TimeGrid(1.0, 64)
