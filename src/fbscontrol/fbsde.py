@@ -63,13 +63,13 @@ def simulate_forward(spec: ProblemSpec, control: ControlLaw,
     When the drift/diffusion read (y, z), the per-node fits ``closures[i]``
     supply those values from the current state; ``closures=None`` feeds zeros
     (the Picard cold start, also correct for decoupled problems). The steps run
-    on a node-major buffer; the panel is path-major.
+    on a node-major buffer; the panel is path-major. dB_i is read in place, as
+    in the backward sweep.
     """
     grid = bundle.grid
     M, N = bundle.M, grid.N
     dt = grid.dt
-    nodes = grid.nodes
-    dB_rows = _swap_major(bundle.dB)
+    nodes, dB = grid.nodes, bundle.dB
     X = np.empty((N + 1, M, spec.n))
     X[0] = spec.x0
     zeros = np.zeros(M)
@@ -79,7 +79,7 @@ def simulate_forward(spec: ProblemSpec, control: ControlLaw,
         u = control.values_at(i, nodes[i], x)
         bv = spec.b.value(nodes[i], x, y, z, u)
         sv = spec.sigma.value(nodes[i], x, y, z, u)
-        nxt = x + bv * dt + sv * dB_rows[i, :, None]
+        nxt = x + bv * dt + sv * dB[:, i, None]
         _require_finite_paths(nxt, label, i + 1)
         X[i + 1] = nxt
     return ProcessPanel(_swap_major(X), grid, label=label)

@@ -57,15 +57,23 @@ class BasisTransform:
     exponents: np.ndarray
     keep: np.ndarray  # indices of retained columns
 
-    def design(self, state: np.ndarray) -> np.ndarray:
-        state = np.atleast_2d(np.asarray(state, dtype=float))
-        z = (state - self.mean) / self.scale
-        cols = np.ones((state.shape[0], len(self.exponents)))
+    def _rows(self, state_t: np.ndarray) -> np.ndarray:
+        """All feature rows (K, M) at a C-contiguous transposed state (n, M)."""
+        z = (state_t - self.mean[:, None]) / self.scale[:, None]
+        rows = np.ones((len(self.exponents), z.shape[1]))
         for k, expo in enumerate(self.exponents):
             for j, e in enumerate(expo):
                 if e:
-                    cols[:, k] *= z[:, j] ** e
-        return cols[:, self.keep]
+                    rows[k] *= z[j] ** e
+        return rows
+
+    def _kept(self, rows: np.ndarray) -> np.ndarray:
+        """The (M, K) design matrix: a view of the retained feature rows."""
+        return (rows if len(self.keep) == len(rows) else rows[self.keep]).T
+
+    def design(self, state: np.ndarray) -> np.ndarray:
+        state = np.atleast_2d(np.asarray(state, dtype=float))
+        return self._kept(self._rows(np.ascontiguousarray(state.T)))
 
 
 class NodeBasis:
@@ -80,19 +88,20 @@ class NodeBasis:
         state = np.atleast_2d(np.asarray(state, dtype=float))
         if state.ndim > 2:
             state = state.reshape(state.shape[0], -1)
+        # every reduction and feature product runs along a contiguous (M,) row
+        state_t = np.ascontiguousarray(state.T)
         self.degree = degree
-        self.state_lo = state.min(axis=0)
-        self.state_hi = state.max(axis=0)
-        mean = state.mean(axis=0)
-        scale = state.std(axis=0)
+        self.state_lo = state_t.min(axis=1)
+        self.state_hi = state_t.max(axis=1)
+        mean = state_t.mean(axis=1)
+        scale = state_t.std(axis=1)
         scale = np.where(scale < _DEGENERATE_TOL, 1.0, scale)
-        exponents = monomial_exponents(state.shape[1], degree)
-        tf = BasisTransform(mean, scale, exponents, np.arange(len(exponents)))
-        phi = tf.design(state)
-        col_span = phi.max(axis=0) - phi.min(axis=0)
-        keep = np.flatnonzero((col_span > _DEGENERATE_TOL) | (np.arange(phi.shape[1]) == 0))
+        exponents = monomial_exponents(state_t.shape[0], degree)
+        rows = BasisTransform(mean, scale, exponents, None)._rows(state_t)
+        row_span = rows.max(axis=1) - rows.min(axis=1)
+        keep = np.flatnonzero((row_span > _DEGENERATE_TOL) | (np.arange(len(rows)) == 0))
         self.transform = BasisTransform(mean, scale, exponents, keep)
-        self.phi = phi[:, keep]
+        self.phi = self.transform._kept(rows)
         gram = self.phi.T @ self.phi
         _require_finite(gram)
         self._factor, info = dpotrf(gram, lower=0, clean=0)

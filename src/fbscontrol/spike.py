@@ -158,6 +158,13 @@ def solve_delta(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
 
 @dataclass
 class VariationBundle:
+    """First- and second-order variational panels of one spike.
+
+    The cross-method residuals ``res_y1``/``res_z1`` (regressed on (X, X1))
+    and ``res_y2``/``res_z2`` (on (X, X1, X2)) are solved by
+    :func:`variation_residuals` on first read, one solve per order, and kept;
+    a bundle whose residuals are never read never solves them."""
+
     X1: ProcessPanel
     Y1: ProcessPanel
     Z1: ProcessPanel
@@ -166,10 +173,29 @@ class VariationBundle:
     Z2: ProcessPanel
     I_panel: ProcessPanel
     yhat: YhatSolution
-    res_y1: ProcessPanel
-    res_y2: ProcessPanel
-    res_z1: ProcessPanel
-    res_z2: ProcessPanel
+    _inputs: tuple = field(repr=False)  # (spec, sol, adj1, dwin, dvals, mask)
+    _residuals: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _residual(self, order):
+        if order not in self._residuals:
+            self._residuals[order] = variation_residuals(self, order)
+        return self._residuals[order]
+
+    @property
+    def res_y1(self) -> ProcessPanel:
+        return self._residual(1)[0]
+
+    @property
+    def res_z1(self) -> ProcessPanel:
+        return self._residual(1)[1]
+
+    @property
+    def res_y2(self) -> ProcessPanel:
+        return self._residual(2)[0]
+
+    @property
+    def res_z2(self) -> ProcessPanel:
+        return self._residual(2)[1]
 
     @property
     def y2_0_samples(self) -> np.ndarray:
@@ -184,8 +210,8 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
                         adj2: SecondOrderAdjoint, spike: SpikeSpec,
                         delta: DeltaProcess) -> VariationBundle:
     """Simulate the first- and second-order variational states forward through
-    their decoupling relations, reconstruct the backward components, and attach
-    cross-method residuals from independent backward regression solves.
+    their decoupling relations and reconstruct the backward components. The
+    cross-method residuals are solved when the bundle's ``res_*`` are first read.
     """
     frame = adj1.frame
     grid = sol.X.grid
@@ -229,16 +255,15 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
     Y2 = np.zeros((M, N + 1))
     Z2 = np.zeros((M, N + 1))
 
-    def relation_values(i, x2):
+    def relation_values(i, x2, parts, sh1):
+        """(Y2, Z2, I) at node i from the first partials ``parts`` and, on the
+        window, the shifted sigma partials ``sh1``."""
         y2 = _dot(p[:, i], x2) + 0.5 * np.einsum("mi,mij,mj->m", X1[:, i], P[:, i], X1[:, i]) + yh[:, i]
-        parts = frame.first(i)
         mbar = 1.0 - _dot(p[:, i], parts["sz"])
         Ival = (_dot(K1[:, i], x2)
                 + 0.5 * np.einsum("mi,mij,mj->m", X1[:, i], K2[:, i], X1[:, i])
                 + _dot(p[:, i], parts["sy"] * yh[:, i, None] + parts["sz"] * zh[:, i, None]) / mbar)
-        if mask[i]:
-            u_sp = spike.perturb_values(M, i)
-            sh1 = frame.shifted_sigma_first(i, u_sp, dvals[:, i])
+        if sh1 is not None:
             dsx = sh1["sx"] - parts["sx"]
             dsy = sh1["sy"] - parts["sy"]
             dsz = sh1["sz"] - parts["sz"]
@@ -254,8 +279,9 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
     for i in range(N):
         parts = frame.first(i)
         sec = frame.second(i)
+        sh1 = frame.shifted_sigma_first(i, spike.perturb_values(M, i), dvals[:, i]) if mask[i] else None
         x2 = X2[:, i]
-        y2, z2, Ival = relation_values(i, x2)
+        y2, z2, Ival = relation_values(i, x2, parts, sh1)
         Y2[:, i], Z2[:, i], I_panel[:, i] = y2, z2, Ival
         v = np.concatenate([X1[:, i], Y1[:, i, None], _dot(K1[:, i], X1[:, i])[:, None]], axis=1)
         quad_b = _quad_vector(sec, "b", v, n)
@@ -266,23 +292,18 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
                 + parts["sy"] * y2[:, None] + parts["sz"] * z2[:, None] + 0.5 * quad_s)
         if mask[i]:
             drift = drift + dwin[i]["b"]
-            sh1 = frame.shifted_sigma_first(i, spike.perturb_values(M, i), dvals[:, i])
             diff = diff + (np.einsum("mij,mj->mi", sh1["sx"] - parts["sx"], X1[:, i])
                            + (sh1["sy"] - parts["sy"]) * Y1[:, i, None]
                            + (sh1["sz"] - parts["sz"]) * _dot(K1[:, i], X1[:, i])[:, None])
         X2[:, i + 1] = x2 + drift * dt + diff * dB[:, i, None]
-    y2, z2, Ival = relation_values(N, X2[:, N])
+    # the window ends before T, so node N has no shifted partials
+    y2, z2, Ival = relation_values(N, X2[:, N], frame.first(N), None)
     Y2[:, N], Z2[:, N], I_panel[:, N] = y2, z2, Ival
-
-    res_y1, res_z1 = _residual_backward_y1(spec, frame, sol, adj1, dwin, dvals, X1, Y1, Z1, mask)
-    res_y2, res_z2 = _residual_backward_y2(spec, frame, sol, adj1, dwin, X1, Y1, X2, Y2, Z2, mask)
 
     return VariationBundle(
         ProcessPanel(X1, grid, "X1"), ProcessPanel(Y1, grid, "Y1"), ProcessPanel(Z1, grid, "Z1"),
         ProcessPanel(X2, grid, "X2"), ProcessPanel(Y2, grid, "Y2"), ProcessPanel(Z2, grid, "Z2"),
-        ProcessPanel(I_panel, grid, "I"), yhat,
-        ProcessPanel(res_y1, grid, "res_y1"), ProcessPanel(res_y2, grid, "res_y2"),
-        ProcessPanel(res_z1, grid, "res_z1"), ProcessPanel(res_z2, grid, "res_z2"),
+        ProcessPanel(I_panel, grid, "I"), yhat, (spec, sol, adj1, dwin, dvals, mask),
     )
 
 
@@ -294,25 +315,39 @@ def _quad_vector(sec, tag, v, n):
     return out
 
 
-def _residual_backward(sol, state_at, terminal, node, Y, Z, what):
+def variation_residuals(var: VariationBundle, order: int):
+    """Cross-method residuals of the order-1 or order-2 variational backward
+    equation: an independent regression solve on (X, X1), or on (X, X1, X2),
+    differenced against the relation values of ``var``. Returns the panels
+    (res_y, res_z); ``var.res_*`` call this on first read."""
+    if order == 1:
+        return _residual_backward_y1(var)
+    if order == 2:
+        return _residual_backward_y2(var)
+    raise ValueError(f"variational order must be 1 or 2, not {order}")
+
+
+def _residual_backward(sol, state_at, terminal, node, Y, Z, order):
     """Independent regression solve of a variational backward equation on the
     conditioning state ``state_at(i)``, with the Picard solve's basis degree,
     differenced against the relation values (Y, Z); the Z residual is 0 at T.
     The bases are built node by node, so none is kept."""
     degree = sol.bases[0].degree
     y, z, _ = _backward_regression(lambda i: NodeBasis(state_at(i), degree), terminal,
-                                   sol.bundle.dB, sol.X.grid.dt, node, what)
+                                   sol.bundle.dB, sol.X.grid.dt, node, f"res_y{order}")
     zres = z - Z
     zres[:, -1] = 0.0
-    return y - Y, zres
+    grid = sol.X.grid
+    return ProcessPanel(y - Y, grid, f"res_y{order}"), ProcessPanel(zres, grid, f"res_z{order}")
 
 
-def _residual_backward_y1(spec, frame, sol, adj1, dwin, dvals, X1, Y1, Z1, mask):
+def _residual_backward_y1(var):
     """Independently solve the first-order backward equation by regression on
     (X, X1) and difference against the relation values Y1 = <p, X1> and
     Z1 = <K1, X1> + Delta 1_E."""
+    spec, sol, adj1, dwin, dvals, mask = var._inputs
+    frame, q, X1 = adj1.frame, adj1.q_values, var.X1.values
     M, dt = frame.M, sol.X.grid.dt
-    q = adj1.q_values
 
     def node(i, nb, y_next, m_next, zv):
         parts = frame.first(i)
@@ -323,14 +358,16 @@ def _residual_backward_y1(spec, frame, sol, adj1, dwin, dvals, X1, Y1, Z1, mask)
         return (m_next + drv0 * dt) / (1.0 - parts["gy"] * dt)
 
     return _residual_backward(sol, lambda i: np.concatenate([frame.X[:, i], X1[:, i]], axis=1),
-                              _dot(spec.phi.dx(frame.X[:, -1]), X1[:, -1]), node, Y1, Z1,
-                              "res_y1")
+                              _dot(spec.phi.dx(frame.X[:, -1]), X1[:, -1]), node,
+                              var.Y1.scalar(), var.Z1.scalar(), 1)
 
 
-def _residual_backward_y2(spec, frame, sol, adj1, dwin, X1, Y1, X2, Y2, Z2, mask):
+def _residual_backward_y2(var):
     """Same cross-check for the second-order backward equation."""
+    spec, sol, adj1, dwin, _, mask = var._inputs
+    frame, q, K1 = adj1.frame, adj1.q_values, adj1.k1_values
+    X1, Y1, X2 = var.X1.values, var.Y1.scalar(), var.X2.values
     dt, n = sol.X.grid.dt, spec.n
-    q, K1 = adj1.q_values, adj1.k1_values
 
     def node(i, nb, y_next, m_next, zv):
         parts = frame.first(i)
@@ -347,7 +384,7 @@ def _residual_backward_y2(spec, frame, sol, adj1, dwin, X1, Y1, X2, Y2, Z2, mask
                 + 0.5 * np.einsum("mi,mij,mj->m", X1[:, -1], spec.phi.dxx(XN), X1[:, -1]))
     return _residual_backward(
         sol, lambda i: np.concatenate([frame.X[:, i], X1[:, i], X2[:, i]], axis=1),
-        terminal, node, Y2, Z2, "res_y2")
+        terminal, node, var.Y2.scalar(), var.Z2.scalar(), 2)
 
 
 @dataclass

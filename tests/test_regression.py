@@ -60,6 +60,43 @@ def test_multidim_cross_terms():
     assert np.abs(nb.fit(target) - target).max() < 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_design_rebuilds_phi_bitwise(n):
+    rng = np.random.Generator(np.random.Philox(key=[10, n]))
+    state = rng.normal(size=(300, n))
+    nb = NodeBasis(state, degree=2)
+    assert nb.phi.shape == (300, len(monomial_exponents(n, 2)))
+    assert nb.transform.design(state).tobytes() == nb.phi.tobytes()
+
+
+def test_constant_dimension_drops_exactly_its_columns():
+    rng = np.random.Generator(np.random.Philox(key=[11, 1]))
+    state = rng.normal(size=(400, 3))
+    state[:, 1] = 0.7
+    nb = NodeBasis(state, degree=2)
+    assert np.array_equal(nb.transform.keep, np.flatnonzero(monomial_exponents(3, 2)[:, 1] == 0))
+    assert not nb.ridge_used
+    # the kept columns are the basis of the two varying dimensions, in order
+    other = NodeBasis(state[:, [0, 2]], degree=2)
+    assert nb.n_features == other.n_features == 6
+    assert np.abs(nb.phi - other.phi).max() <= 1e-12
+    assert np.abs(nb.transform.design(state) - nb.phi).max() == 0.0
+
+
+def test_nodefit_two_dimensional_matches_polynomial():
+    rng = np.random.Generator(np.random.Philox(key=[12, 1]))
+    state = rng.normal(size=(500, 2))
+
+    def poly(s):
+        x, y = s[:, 0], s[:, 1]
+        return 0.5 - x + 2.0 * y + 0.3 * x ** 2 - 0.7 * x * y + 0.1 * y ** 2
+
+    nb = NodeBasis(state, degree=2)
+    fit = NodeFit(nb.transform, nb.coefficients(poly(state)), nb.state_lo, nb.state_hi)
+    probe = rng.uniform(-1.0, 1.0, size=(9, 2))  # inside the sample range: no clamping
+    assert np.abs(fit(probe) - poly(probe)).max() < 1e-9
+
+
 def test_vector_targets_share_factorization():
     rng = np.random.Generator(np.random.Philox(key=[7, 1]))
     state = rng.normal(size=(100, 1))

@@ -194,6 +194,37 @@ def test_variation_relation_residuals(cz_small):
     assert np.abs(var.res_y2.scalar()).mean(axis=0).max() <= 0.05
 
 
+def test_order_experiment_never_solves_residuals(cz_small, monkeypatch):
+    bench, bundle, sol, adj1, adj2 = cz_small
+
+    def unread(var, order):
+        raise AssertionError(f"order-{order} residual solve ran")
+
+    monkeypatch.setattr(fc.spike, "variation_residuals", unread)
+    rep = fc.run_order_experiment(bench.spec, bench.optimal_control, bundle,
+                                  eps_ladder=[0.125, 0.0625], betas=(2.0,), spike_value=1.0,
+                                  reference=sol, adjoints=(adj1, adj2))
+    assert not rep.flags
+    assert np.isfinite(rep.slopes["X1_b2"].slope)
+
+
+def test_residuals_solved_on_first_read_and_kept(cz_small):
+    bench, _, sol, adj1, adj2 = cz_small
+    spike = fc.SpikeSpec(0.25, 0.125, 1.0)
+    delta = fc.solve_delta(bench.spec, sol, adj1, spike)
+    var = fc.simulate_variations(bench.spec, sol, adj1, adj2, spike, delta)
+    for order in (1, 2):
+        direct = fc.spike.variation_residuals(var, order)
+        read = (getattr(var, f"res_y{order}"), getattr(var, f"res_z{order}"))
+        for d, r in zip(direct, read):
+            assert d.label == r.label
+            assert d.values.tobytes() == r.values.tobytes()
+        assert getattr(var, f"res_y{order}") is read[0]
+        assert getattr(var, f"res_z{order}") is read[1]
+    with pytest.raises(ValueError):
+        fc.spike.variation_residuals(var, 3)
+
+
 def test_spike_diff_chain_identities(cz_small):
     bench, bundle, sol, adj1, adj2 = cz_small
     grid = sol.X.grid
