@@ -63,8 +63,8 @@ def simulate_forward(spec: ProblemSpec, control: ControlLaw,
     When the drift/diffusion read (y, z), the per-node fits ``closures[i]``
     supply those values from the current state; ``closures=None`` feeds zeros
     (the Picard cold start, also correct for decoupled problems). The steps run
-    on a node-major buffer; the panel is path-major. dB_i is read in place, as
-    in the backward sweep.
+    on a node-major buffer; the panel is path-major. dB_i is read in place: a
+    node-major copy would cost one more panel per Picard sweep.
     """
     grid = bundle.grid
     M, N = bundle.M, grid.N
