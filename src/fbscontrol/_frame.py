@@ -3,7 +3,10 @@
 A frame caches the reference panels (X, Y, Z, frozen control) and evaluates
 coefficient values and partials node by node, including evaluations at a
 shifted z and a perturbing control (the delta-terms of spike analysis).
-Evaluations are recomputed on demand; nothing here mutates shared state.
+A frame keeps no evaluation and every call recomputes, so each solve calls
+it once per node and keeps what it derives: the first-order adjoint holds
+H_y, H_z, a_y and a_z, and the Delta solve holds the spike increments of
+b, sigma and g. Nothing here mutates shared state.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .fbsde import (LinearFbsdeSpec, PicardOpts, check_lbeta_estimate,
 from .hamiltonian import MpOpts, check_maximum_principle
 from .model import (Coefficient, ProblemSpec, RealControlSet, TerminalMap,
                     benchmark_coupled_z, benchmark_lq, constant_control)
-from .paths import SeedSpec, TimeGrid, sample_brownian
+from .paths import SeedSpec, TimeGrid, mean_stderr, sample_brownian
 from .spike import SpikeSpec, run_order_experiment, simulate_variations, solve_delta
 
 DEFAULT_SEED = 20240801
@@ -352,8 +352,7 @@ class AcceptanceSession:
         pos = float(g.gamma.values.min())
         drift_max = float(np.abs(g.drift_coeff).max())
         gT = g.gamma.scalar()[:, -1]
-        mean = float(gT.mean())
-        se = float(gT.std(ddof=1) / np.sqrt(len(gT)))
+        mean, se = mean_stderr(gT)
         ok = pos_lq > 0 and pos > 0 and drift_max < 1e-10 and abs(mean - 1.0) <= 3 * se
         return CriterionResult(
             "criterion 8c (gamma positivity and martingale mean)", ok,
@@ -366,7 +365,7 @@ class AcceptanceSession:
         sol, adj1, adj2 = self.lq_stack
         spike = SpikeSpec(SPIKE_AT, 0.125, 1.0)
         delta = solve_delta(self.lq.spec, sol, adj1, spike)
-        yh = solve_yhat(self.lq.spec, sol, adj1, adj2, spike, delta)
+        yh = solve_yhat(self.lq.spec, sol, adj1, adj2, delta)
         diff = abs(yh.y0_bsde - yh.y0_rep)
         tol = 3.0 * np.hypot(yh.y0_bsde_se, yh.y0_rep_se)
         ok = diff <= max(tol, 1e-12)

@@ -12,7 +12,7 @@ import numpy as np
 from ._frame import RefFrame
 from .errors import InvertibilityError
 from .fbsde import FbsdeSolution, _dot, _solve_first_order
-from .paths import ProcessPanel
+from .paths import ProcessPanel, mean_stderr
 from .regression import _backward_regression, _fixed_point
 
 
@@ -27,6 +27,15 @@ class AdjointOpts:
 
 @dataclass
 class FirstOrderAdjoint:
+    """The (p, q, K1) panels, with the Hamiltonian partials H_y, H_z of
+    H = g + <p, b> + <q, sigma> along the reference and the coefficients
+
+        a_y = H_y + g_z <p, sigma_y> / (1 - <p, sigma_z>)
+        a_z = H_z + g_z <p, sigma_z> / (1 - <p, sigma_z>)
+
+    that drive the exponential weight process and the auxiliary backward
+    equation; all four are (M, N+1) panels computed once, here."""
+
     p: ProcessPanel
     q: ProcessPanel
     K1: ProcessPanel
@@ -35,6 +44,10 @@ class FirstOrderAdjoint:
     max_abs_q: float
     max_inner_iterations: int
     frame: RefFrame
+    H_y: np.ndarray
+    H_z: np.ndarray
+    a_y: np.ndarray
+    a_z: np.ndarray
 
     @property
     def p_values(self):
@@ -54,8 +67,6 @@ class SecondOrderAdjoint:
     P: ProcessPanel            # (M, N+1, n, n)
     Q: ProcessPanel
     K2: ProcessPanel
-    H_y: np.ndarray            # (M, N+1)
-    H_z: np.ndarray
     max_inner_iterations: int
 
     @property
@@ -91,7 +102,8 @@ def solve_first_order_adjoint(spec, sol: FbsdeSolution, control,
     """Backward regression solve of the (p, q) pair with terminal phi_x(X_T) on
     the Picard solve's node bases: one explicit step per node where sigma has
     no z-dependence, otherwise a fixed point jointly with K1 (tolerance
-    opts.fp_tol, cap opts.fp_max)."""
+    opts.fp_tol, cap opts.fp_max). One more pass over the nodes then forms
+    H_y, H_z, a_y and a_z from (p, q) and the node partials."""
     if opts is None:
         opts = AdjointOpts()
     frame = RefFrame.along(spec, sol, control)
@@ -99,9 +111,17 @@ def solve_first_order_adjoint(spec, sol: FbsdeSolution, control,
     p, q, K1, margin, max_iters = _solve_first_order(
         sol.bases.__getitem__, spec.phi.dx(frame.X[:, grid.N]), sol.bundle.dB, grid.dt,
         frame.first, opts.c_min, opts.fp_tol, opts.fp_max)
+    Hy, Hz, a_y, a_z = (np.empty((frame.M, grid.N + 1)) for _ in range(4))
+    for i in range(grid.N + 1):
+        parts = frame.first(i)
+        Hy[:, i] = parts["gy"] + _dot(p[:, i], parts["by"]) + _dot(q[:, i], parts["sy"])
+        Hz[:, i] = parts["gz"] + _dot(p[:, i], parts["bz"]) + _dot(q[:, i], parts["sz"])
+        mbar = 1.0 - _dot(p[:, i], parts["sz"])
+        a_y[:, i] = Hy[:, i] + parts["gz"] * _dot(p[:, i], parts["sy"]) / mbar
+        a_z[:, i] = Hz[:, i] + parts["gz"] * _dot(p[:, i], parts["sz"]) / mbar
     return FirstOrderAdjoint(
         ProcessPanel(p, grid, "p"), ProcessPanel(q, grid, "q"), ProcessPanel(K1, grid, "K1"),
-        float(margin), opts.c_min, float(np.abs(q).max()), max_iters, frame,
+        float(margin), opts.c_min, float(np.abs(q).max()), max_iters, frame, Hy, Hz, a_y, a_z,
     )
 
 
@@ -148,18 +168,6 @@ def hamiltonian_hessian(sec, p, q, n):
             + _weighted_hessian(sec, "s", q, n))
 
 
-def h_partials(frame: RefFrame, p, q):
-    """Panels of H_y and H_z along the reference trajectory, H = g + <p,b> + <q,sigma>."""
-    M, n_nodes = frame.M, frame.grid.N + 1
-    Hy = np.empty((M, n_nodes))
-    Hz = np.empty((M, n_nodes))
-    for i in range(n_nodes):
-        parts = frame.first(i)
-        Hy[:, i] = parts["gy"] + _dot(p[:, i], parts["by"]) + _dot(q[:, i], parts["sy"])
-        Hz[:, i] = parts["gz"] + _dot(p[:, i], parts["bz"]) + _dot(q[:, i], parts["sz"])
-    return Hy, Hz
-
-
 def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
                                opts: AdjointOpts = None) -> SecondOrderAdjoint:
     """Backward regression solve of the matrix-valued second-order adjoint, on
@@ -178,7 +186,7 @@ def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint
     dB = sol.bundle.dB
 
     pv_all, qv_all, k1_all = adj1.p_values, adj1.q_values, adj1.k1_values
-    Hy, Hz = h_partials(frame, pv_all, qv_all)
+    Hy, Hz = adj1.H_y, adj1.H_z
 
     K2 = np.zeros((M, N + 1, n, n))
     max_iters = 0
@@ -242,27 +250,8 @@ def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint
 
     return SecondOrderAdjoint(
         ProcessPanel(P, grid, "P"), ProcessPanel(Q, grid, "Q"), ProcessPanel(K2, grid, "K2"),
-        Hy, Hz, max_iters,
+        max_iters,
     )
-
-
-def aux_coefficients(frame: RefFrame, adj1: FirstOrderAdjoint, Hy, Hz):
-    """Drift/diffusion coefficients shared by the exponential weight process and
-    the auxiliary backward equation:
-
-        a_y = H_y + g_z <p, sigma_y> / (1 - <p, sigma_z>)
-        a_z = H_z + g_z <p, sigma_z> / (1 - <p, sigma_z>)
-    """
-    M, n_nodes = frame.M, frame.grid.N + 1
-    p = adj1.p_values
-    a_y = np.empty((M, n_nodes))
-    a_z = np.empty((M, n_nodes))
-    for i in range(n_nodes):
-        parts = frame.first(i)
-        mbar = 1.0 - _dot(p[:, i], parts["sz"])
-        a_y[:, i] = Hy[:, i] + parts["gz"] * _dot(p[:, i], parts["sy"]) / mbar
-        a_z[:, i] = Hz[:, i] + parts["gz"] * _dot(p[:, i], parts["sz"]) / mbar
-    return a_y, a_z
 
 
 def _weight_process(a, c, grid, dB) -> GammaProcess:
@@ -277,46 +266,32 @@ def _weight_process(a, c, grid, dB) -> GammaProcess:
 
 def solve_gamma(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint) -> GammaProcess:
     """The positive exponential weight process with the auxiliary coefficients
-    (a_y, a_z) as drift and diffusion."""
-    Hy, Hz = h_partials(adj1.frame, adj1.p_values, adj1.q_values)
-    a, c = aux_coefficients(adj1.frame, adj1, Hy, Hz)
-    return _weight_process(a, c, sol.X.grid, sol.bundle.dB)
+    (a_y, a_z) of ``adj1`` as drift and diffusion."""
+    return _weight_process(adj1.a_y, adj1.a_z, sol.X.grid, sol.bundle.dB)
 
 
-def spiked_forcing(frame: RefFrame, adj1: FirstOrderAdjoint, adj2: SecondOrderAdjoint,
-                   spike, delta_values: np.ndarray):
-    """Forcing [dH(t, Delta) + 0.5 dsig' P dsig] 1_E along the window."""
-    grid = frame.grid
-    M = frame.M
-    F = np.zeros((M, grid.N + 1))
-    mask = spike.window_mask(grid)
+def spiked_forcing(adj1: FirstOrderAdjoint, adj2: SecondOrderAdjoint, delta):
+    """Forcing [dH(t, Delta) + 0.5 dsig' P dsig] 1_E along the window, from the
+    spike increments (db, dsig, dg) that ``solve_delta`` keeps per window node."""
     p, q, P = adj1.p_values, adj1.q_values, adj2.P_values
-    for i in np.flatnonzero(mask):
-        u_sp = spike.perturb_values(M, i)
-        ref = frame.values(i)
-        sh = frame.shifted_values(i, u_sp, delta_values[:, i])
-        db = sh["b"] - ref["b"]
-        ds = sh["s"] - ref["s"]
-        dg = sh["g"] - ref["g"]
-        dH = _dot(p[:, i], db) + _dot(q[:, i], ds) + dg
-        quad = 0.5 * np.einsum("mi,mij,mj->m", ds, P[:, i], ds)
-        F[:, i] = dH + quad
+    F = np.zeros(p.shape[:2])
+    for i, inc in delta.increments.items():
+        ds = inc["s"]
+        dH = _dot(p[:, i], inc["b"]) + _dot(q[:, i], ds) + inc["g"]
+        F[:, i] = dH + 0.5 * np.einsum("mi,mij,mj->m", ds, P[:, i], ds)
     return F
 
 
 def solve_yhat(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
-               adj2: SecondOrderAdjoint, spike, delta) -> YhatSolution:
+               adj2: SecondOrderAdjoint, delta) -> YhatSolution:
     """Backward solve of the auxiliary scalar equation with terminal 0 and the
-    spiked-Hamiltonian forcing, on the Picard solve's node bases, plus the
-    exponential-weight representation of its initial value (two independent
-    estimators of the same number)."""
-    frame = adj1.frame
+    spiked-Hamiltonian forcing of ``delta`` (a ``DeltaProcess``), on the Picard
+    solve's node bases, plus the exponential-weight representation of its
+    initial value (two independent estimators of the same number)."""
     grid = sol.X.grid
-    M, dt, dB = frame.M, grid.dt, sol.bundle.dB
-
-    a_y, a_z = aux_coefficients(frame, adj1, adj2.H_y, adj2.H_z)
-    delta_values = delta.panel.scalar() if hasattr(delta, "panel") else np.asarray(delta)
-    F = spiked_forcing(frame, adj1, adj2, spike, delta_values)
+    M, dt, dB = adj1.frame.M, grid.dt, sol.bundle.dB
+    a_y, a_z = adj1.a_y, adj1.a_z
+    F = spiked_forcing(adj1, adj2, delta)
     y0_samples = None
 
     def node(i, nb, y_next, m, zv):
@@ -331,10 +306,8 @@ def solve_yhat(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
                                          "yhat")
     gamma = _weight_process(a_y, a_z, grid, dB)
     rep_samples = (gamma.gamma.scalar()[:, :-1] * F[:, :-1]).sum(axis=1) * dt
-    y0_b = float(y0_samples.mean())
-    y0_b_se = float(y0_samples.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
-    y0_r = float(rep_samples.mean())
-    y0_r_se = float(rep_samples.std(ddof=1) / np.sqrt(M)) if M > 1 else 0.0
+    y0_b, y0_b_se = mean_stderr(y0_samples)
+    y0_r, y0_r_se = mean_stderr(rep_samples)
 
     return YhatSolution(ProcessPanel(yhat, grid, "yhat"), ProcessPanel(zhat, grid, "zhat"),
                         F, y0_b, y0_b_se, y0_r, y0_r_se, gamma)

@@ -54,7 +54,7 @@ class ExperimentConfig:
     beta: list = field(default_factory=lambda: [2.0, 4.0])
     spike_at: float = -1.0                               # negative -> T/4
     spike_value: float = 1.0
-    control: str = "optimal"                             # "optimal" | "zero" | float value
+    control: str = "optimal"                             # "optimal" | "zero" | a number
     mp_nodes: int = 32
 
 
@@ -83,10 +83,10 @@ class RunConfig:
             for key, val in sub.items():
                 if not hasattr(obj, key):
                     raise ConfigError(f"{section}.{key}", "unknown field")
-                setattr(obj, key, val)
+                setattr(obj, key, _typed(f"{section}.{key}", getattr(obj, key), val))
         for key in ("seed", "out_dir", "dump_panels", "dump_hamiltonian"):
             if key in raw:
-                setattr(cfg, key, raw[key])
+                setattr(cfg, key, _typed(key, getattr(cfg, key), raw[key]))
         cfg.validate()
         return cfg
 
@@ -104,6 +104,32 @@ class RunConfig:
         for b in self.experiment.beta:
             if not 2.0 <= float(b) <= 8.0:
                 raise ConfigError("experiment.beta", f"entries must lie in [2, 8], got {b}")
+
+
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+          list: "a list of numbers"}
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _typed(name, default, val):
+    """``val`` if it has the type of the field's default, else a ConfigError
+    naming the field. An int passes for a float, a bool never passes for a
+    number, lists hold numbers, and experiment.control also takes a number."""
+    kind = type(default)
+    if kind is bool:
+        ok = isinstance(val, bool)
+    elif kind in (int, float):
+        ok = _is_number(val) and (kind is float or isinstance(val, int))
+    elif kind is list:
+        ok = isinstance(val, list) and all(_is_number(v) for v in val)
+    else:
+        ok = isinstance(val, str) or (name == "experiment.control" and _is_number(val))
+    if not ok:
+        raise ConfigError(name, f"must be {_KINDS[kind]}, got {val!r}")
+    return val
 
 
 def build_problem(cfg: RunConfig):

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import InvertibilityError, NoConvergenceError
 from .model import ControlLaw, ProblemSpec
-from .paths import SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, TimeGrid, moment_norm
+from .paths import (SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, TimeGrid,
+                    mean_stderr, moment_norm)
 from .regression import (NodeBasis, NodeFit, _backward_regression, _fixed_point, _regress,
                          _require_finite_paths, _swap_major)
 
@@ -51,8 +52,7 @@ class FbsdeSolution:
 
     @property
     def value_stderr(self) -> float:
-        m = len(self.y0_samples)
-        return float(self.y0_samples.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+        return mean_stderr(self.y0_samples)[1]
 
 
 def simulate_forward(spec: ProblemSpec, control: ControlLaw,

@@ -20,7 +20,7 @@ import numpy as np
 from .adjoint import AdjointOpts, FirstOrderAdjoint, SecondOrderAdjoint
 from .fbsde import FbsdeSolution, PicardOpts
 from .model import ProblemSpec
-from .paths import BrownianBundle
+from .paths import BrownianBundle, mean_stderr
 from .spike import delta_at_node, run_order_experiment
 
 
@@ -151,8 +151,7 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
         for u_pt in u_candidates:
             # hamiltonian_gap(ctx, u_pt), with the node's reference term computed once
             gap = eval_script_H(ctx, u_pt) - h_ref
-            mg = float(gap.mean())
-            se = float(gap.std(ddof=1) / np.sqrt(len(gap))) if len(gap) > 1 else 0.0
+            mg, se = mean_stderr(gap)
             zsc = _z_score(mg, se)
             table.append((float(grid.nodes[i]), tuple(np.atleast_1d(u_pt).tolist()), mg, se, zsc))
             if zsc < min_z:

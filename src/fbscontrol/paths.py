@@ -182,6 +182,13 @@ class MomentSpec:
             raise ValueError(f"unknown norm kind {self.kind!r}")
 
 
+def mean_stderr(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean of a Monte Carlo estimator and its standard error
+    std(ddof=1) / sqrt(M), which is 0.0 for a single sample."""
+    m = len(samples)
+    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+
+
 def moment_norm(panel: ProcessPanel, spec: MomentSpec) -> tuple[float, float]:
     """Monte Carlo estimate of E[sup_t |v|^beta] or E[(int |v|^2 dt)^(beta/2)].
 
@@ -194,6 +201,4 @@ def moment_norm(panel: ProcessPanel, spec: MomentSpec) -> tuple[float, float]:
     else:
         sq = norms[:, :-1] ** 2
         samples = (sq.sum(axis=1) * panel.grid.dt) ** (spec.beta / 2.0)
-    est = float(samples.mean())
-    se = float(samples.std(ddof=1) / np.sqrt(len(samples))) if len(samples) > 1 else 0.0
-    return est, se
+    return mean_stderr(samples)

@@ -17,7 +17,8 @@ from .adjoint import (AdjointOpts, FirstOrderAdjoint, SecondOrderAdjoint, YhatSo
 from .errors import InvertibilityError, NoConvergenceError
 from .fbsde import FbsdeSolution, PicardOpts, _dot, solve_coupled_picard
 from .model import LINEAR_IN_Z, OpenLoopControl, ProblemSpec, tabulate_control
-from .paths import SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, moment_norm
+from .paths import (SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, mean_stderr,
+                    moment_norm)
 from .regression import NodeBasis, _backward_regression
 
 CLOSED_FORM_SZ0 = "CLOSED_FORM_SZ0"
@@ -68,8 +69,14 @@ class SpikeSpec:
 
 @dataclass
 class DeltaProcess:
+    """The Delta panel of a spike and, per window node i, the spike increments
+    ``increments[i]`` = {"b", "s", "g"} of b, sigma and g from the reference
+    (Z, u) to (Z + Delta, v): the only coefficient values the variational
+    states, the auxiliary forcing and the residual solves read."""
+
     panel: ProcessPanel
     residual: ProcessPanel
+    increments: dict
     method: str
     max_iterations: int = 0
 
@@ -136,12 +143,14 @@ def delta_at_node(spec: ProblemSpec, frame: RefFrame, p_node: np.ndarray, i: int
 def solve_delta(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
                 spike: SpikeSpec, c_min: float = 0.1, tol: float = 1e-12,
                 cap: int = 50, force_fixed_point: bool = False) -> DeltaProcess:
-    """Delta panel on the spike window (exactly zero off it)."""
+    """Delta panel on the spike window (exactly zero off it), with the spike
+    increments of the coefficients at each window node."""
     frame = adj1.frame
     grid = sol.X.grid
     M = frame.M
     delta = np.zeros((M, grid.N + 1))
     resid = np.zeros((M, grid.N + 1))
+    increments = {}
     method = CLOSED_FORM_SZ0
     max_iters = 0
     for i in spike.window_nodes(grid):
@@ -152,8 +161,11 @@ def solve_delta(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
         delta[:, i] = d
         resid[:, i] = r
         max_iters = max(max_iters, iters)
+        shifted, ref = frame.shifted_values(i, u_vals, delta[:, i]), frame.values(i)
+        increments[int(i)] = {k: shifted[k] - ref[k] for k in shifted}
     return DeltaProcess(ProcessPanel(delta, grid, "delta"),
-                        ProcessPanel(resid, grid, "delta_residual"), method, max_iters)
+                        ProcessPanel(resid, grid, "delta_residual"), increments, method,
+                        max_iters)
 
 
 @dataclass
@@ -173,7 +185,7 @@ class VariationBundle:
     Z2: ProcessPanel
     I_panel: ProcessPanel
     yhat: YhatSolution
-    _inputs: tuple = field(repr=False)  # (spec, sol, adj1, dwin, dvals, mask)
+    _inputs: tuple = field(repr=False)  # (spec, sol, adj1, delta)
     _residuals: dict = field(default_factory=dict, init=False, repr=False)
 
     def _residual(self, order):
@@ -210,100 +222,83 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
                         adj2: SecondOrderAdjoint, spike: SpikeSpec,
                         delta: DeltaProcess) -> VariationBundle:
     """Simulate the first- and second-order variational states forward through
-    their decoupling relations and reconstruct the backward components. The
-    cross-method residuals are solved when the bundle's ``res_*`` are first read.
+    their decoupling relations, both in one node loop, and reconstruct the
+    backward components. The cross-method residuals are solved when the
+    bundle's ``res_*`` are first read.
     """
     frame = adj1.frame
     grid = sol.X.grid
     M, N, n = frame.M, grid.N, spec.n
     dt, dB = grid.dt, sol.bundle.dB
-    mask = spike.window_mask(grid)
     dvals = delta.panel.scalar()
-    p, q, K1 = adj1.p_values, adj1.q_values, adj1.k1_values
+    p, K1 = adj1.p_values, adj1.k1_values
     P, K2 = adj2.P_values, adj2.K2_values
-
-    # first-order state: dX1 = [bx X1 + by <p,X1> + bz <K1,X1>] dt
-    #                        + [sx X1 + sy <p,X1> + sz <K1,X1> + dsig(t,Delta) 1_E] dB
-    X1 = np.zeros((M, N + 1, n))
-    dsig_window = np.zeros((M, N + 1, n))
-    dwin = {}  # window node -> spike increments of b, sigma and g at (Z + Delta, v)
-    for i in np.flatnonzero(mask):
-        sh = frame.shifted_values(i, spike.perturb_values(M, i), dvals[:, i])
-        ref = frame.values(i)
-        dwin[i] = {k: sh[k] - ref[k] for k in sh}
-        dsig_window[:, i] = dwin[i]["s"]
-    for i in range(N):
-        parts = frame.first(i)
-        x1 = X1[:, i]
-        y1 = _dot(p[:, i], x1)
-        k1x = _dot(K1[:, i], x1)
-        drift = (np.einsum("mij,mj->mi", parts["bx"], x1)
-                 + parts["by"] * y1[:, None] + parts["bz"] * k1x[:, None])
-        diff = (np.einsum("mij,mj->mi", parts["sx"], x1)
-                + parts["sy"] * y1[:, None] + parts["sz"] * k1x[:, None]
-                + dsig_window[:, i])
-        X1[:, i + 1] = x1 + drift * dt + diff * dB[:, i, None]
-    Y1 = np.einsum("mti,mti->mt", p, X1)
-    Z1 = np.einsum("mti,mti->mt", K1, X1) + dvals * mask[None, :]
-
-    yhat = solve_yhat(spec, sol, adj1, adj2, spike, delta)
+    yhat = solve_yhat(spec, sol, adj1, adj2, delta)
     yh, zh = yhat.yhat.scalar(), yhat.zhat.scalar()
 
-    # second-order state with Y2 = <p,X2> + <P X1, X1>/2 + yhat and Z2 = I + zhat
+    # first order:  dX1 = [bx X1 + by Y1 + bz <K1,X1>] dt
+    #                   + [sx X1 + sy Y1 + sz <K1,X1> + dsig(t,Delta) 1_E] dB, Y1 = <p,X1>
+    # second order: Y2 = <p,X2> + <P X1, X1>/2 + yhat and Z2 = I + zhat
+    X1 = np.zeros((M, N + 1, n))
     X2 = np.zeros((M, N + 1, n))
-    I_panel = np.zeros((M, N + 1))
+    Y1 = np.zeros((M, N + 1))
     Y2 = np.zeros((M, N + 1))
     Z2 = np.zeros((M, N + 1))
+    I_panel = np.zeros((M, N + 1))
+    # the window ends before T, so node N has no increments
+    for i in range(N + 1):
+        parts = frame.first(i)
+        x1, x2 = X1[:, i], X2[:, i]
+        Y1[:, i] = y1 = _dot(p[:, i], x1)
+        k1x = _dot(K1[:, i], x1)
+        inc = delta.increments.get(i)
 
-    def relation_values(i, x2, parts, sh1):
-        """(Y2, Z2, I) at node i from the first partials ``parts`` and, on the
-        window, the shifted sigma partials ``sh1``."""
-        y2 = _dot(p[:, i], x2) + 0.5 * np.einsum("mi,mij,mj->m", X1[:, i], P[:, i], X1[:, i]) + yh[:, i]
+        # relation values (Y2, Z2, I) at node i
+        y2 = _dot(p[:, i], x2) + 0.5 * np.einsum("mi,mij,mj->m", x1, P[:, i], x1) + yh[:, i]
         mbar = 1.0 - _dot(p[:, i], parts["sz"])
         Ival = (_dot(K1[:, i], x2)
-                + 0.5 * np.einsum("mi,mij,mj->m", X1[:, i], K2[:, i], X1[:, i])
+                + 0.5 * np.einsum("mi,mij,mj->m", x1, K2[:, i], x1)
                 + _dot(p[:, i], parts["sy"] * yh[:, i, None] + parts["sz"] * zh[:, i, None]) / mbar)
-        if sh1 is not None:
-            dsx = sh1["sx"] - parts["sx"]
-            dsy = sh1["sy"] - parts["sy"]
-            dsz = sh1["sz"] - parts["sz"]
+        if inc is not None:
+            # shifted-minus-reference sigma partials at (Z + Delta, v)
+            sh1 = frame.shifted_sigma_first(i, spike.perturb_values(M, i), dvals[:, i])
+            dsx, dsy, dsz = (sh1[k] - parts[k] for k in ("sx", "sy", "sz"))
             # all window terms carry the inverse: matching the dB coefficient of
             # d(<p,X2> + <P X1,X1>/2 + yhat) puts P dsig X1 inside it as well
-            Pds = np.einsum("mij,mj->mi", P[:, i], dsig_window[:, i])
-            Ival = Ival + _dot(Pds, X1[:, i]) / mbar
-            Ival = Ival + _dot(p[:, i], np.einsum("mij,mj->mi", dsx, X1[:, i])) / mbar
-            Ival = Ival + (_dot(p[:, i], dsy) * Y1[:, i] + _dot(p[:, i], dsz) * _dot(K1[:, i], X1[:, i])) / mbar
+            Pds = np.einsum("mij,mj->mi", P[:, i], inc["s"])
+            Ival = Ival + _dot(Pds, x1) / mbar
+            Ival = Ival + _dot(p[:, i], np.einsum("mij,mj->mi", dsx, x1)) / mbar
+            Ival = Ival + (_dot(p[:, i], dsy) * y1 + _dot(p[:, i], dsz) * k1x) / mbar
         z2 = Ival + zh[:, i]
-        return y2, z2, Ival
-
-    for i in range(N):
-        parts = frame.first(i)
-        sec = frame.second(i)
-        sh1 = frame.shifted_sigma_first(i, spike.perturb_values(M, i), dvals[:, i]) if mask[i] else None
-        x2 = X2[:, i]
-        y2, z2, Ival = relation_values(i, x2, parts, sh1)
         Y2[:, i], Z2[:, i], I_panel[:, i] = y2, z2, Ival
-        v = np.concatenate([X1[:, i], Y1[:, i, None], _dot(K1[:, i], X1[:, i])[:, None]], axis=1)
-        quad_b = _quad_vector(sec, "b", v, n)
-        quad_s = _quad_vector(sec, "s", v, n)
-        drift = (np.einsum("mij,mj->mi", parts["bx"], x2)
-                 + parts["by"] * y2[:, None] + parts["bz"] * z2[:, None] + 0.5 * quad_b)
-        diff = (np.einsum("mij,mj->mi", parts["sx"], x2)
-                + parts["sy"] * y2[:, None] + parts["sz"] * z2[:, None] + 0.5 * quad_s)
-        if mask[i]:
-            drift = drift + dwin[i]["b"]
-            diff = diff + (np.einsum("mij,mj->mi", sh1["sx"] - parts["sx"], X1[:, i])
-                           + (sh1["sy"] - parts["sy"]) * Y1[:, i, None]
-                           + (sh1["sz"] - parts["sz"]) * _dot(K1[:, i], X1[:, i])[:, None])
-        X2[:, i + 1] = x2 + drift * dt + diff * dB[:, i, None]
-    # the window ends before T, so node N has no shifted partials
-    y2, z2, Ival = relation_values(N, X2[:, N], frame.first(N), None)
-    Y2[:, N], Z2[:, N], I_panel[:, N] = y2, z2, Ival
+        if i == N:
+            break
+
+        drift1 = (np.einsum("mij,mj->mi", parts["bx"], x1)
+                  + parts["by"] * y1[:, None] + parts["bz"] * k1x[:, None])
+        diff1 = (np.einsum("mij,mj->mi", parts["sx"], x1)
+                 + parts["sy"] * y1[:, None] + parts["sz"] * k1x[:, None])
+        sec = frame.second(i)
+        v = np.concatenate([x1, y1[:, None], k1x[:, None]], axis=1)
+        drift2 = (np.einsum("mij,mj->mi", parts["bx"], x2)
+                  + parts["by"] * y2[:, None] + parts["bz"] * z2[:, None]
+                  + 0.5 * _quad_vector(sec, "b", v, n))
+        diff2 = (np.einsum("mij,mj->mi", parts["sx"], x2)
+                 + parts["sy"] * y2[:, None] + parts["sz"] * z2[:, None]
+                 + 0.5 * _quad_vector(sec, "s", v, n))
+        if inc is not None:
+            diff1 = diff1 + inc["s"]
+            drift2 = drift2 + inc["b"]
+            diff2 = diff2 + (np.einsum("mij,mj->mi", dsx, x1)
+                             + dsy * y1[:, None] + dsz * k1x[:, None])
+        X1[:, i + 1] = x1 + drift1 * dt + diff1 * dB[:, i, None]
+        X2[:, i + 1] = x2 + drift2 * dt + diff2 * dB[:, i, None]
+    Z1 = np.einsum("mti,mti->mt", K1, X1) + dvals
 
     return VariationBundle(
         ProcessPanel(X1, grid, "X1"), ProcessPanel(Y1, grid, "Y1"), ProcessPanel(Z1, grid, "Z1"),
         ProcessPanel(X2, grid, "X2"), ProcessPanel(Y2, grid, "Y2"), ProcessPanel(Z2, grid, "Z2"),
-        ProcessPanel(I_panel, grid, "I"), yhat, (spec, sol, adj1, dwin, dvals, mask),
+        ProcessPanel(I_panel, grid, "I"), yhat, (spec, sol, adj1, delta),
     )
 
 
@@ -345,16 +340,15 @@ def _residual_backward_y1(var):
     """Independently solve the first-order backward equation by regression on
     (X, X1) and difference against the relation values Y1 = <p, X1> and
     Z1 = <K1, X1> + Delta 1_E."""
-    spec, sol, adj1, dwin, dvals, mask = var._inputs
+    spec, sol, adj1, delta = var._inputs
     frame, q, X1 = adj1.frame, adj1.q_values, var.X1.values
-    M, dt = frame.M, sol.X.grid.dt
+    dvals, dt = delta.panel.scalar(), sol.X.grid.dt
 
     def node(i, nb, y_next, m_next, zv):
         parts = frame.first(i)
-        forcing = np.zeros(M)
-        if mask[i]:
-            forcing = -_dot(q[:, i], dwin[i]["s"])
-        drv0 = _dot(parts["gx"], X1[:, i]) + parts["gz"] * (zv - dvals[:, i] * mask[i]) + forcing
+        inc = delta.increments.get(i)
+        forcing = 0.0 if inc is None else -_dot(q[:, i], inc["s"])
+        drv0 = _dot(parts["gx"], X1[:, i]) + parts["gz"] * (zv - dvals[:, i]) + forcing
         return (m_next + drv0 * dt) / (1.0 - parts["gy"] * dt)
 
     return _residual_backward(sol, lambda i: np.concatenate([frame.X[:, i], X1[:, i]], axis=1),
@@ -364,7 +358,7 @@ def _residual_backward_y1(var):
 
 def _residual_backward_y2(var):
     """Same cross-check for the second-order backward equation."""
-    spec, sol, adj1, dwin, _, mask = var._inputs
+    spec, sol, adj1, delta = var._inputs
     frame, q, K1 = adj1.frame, adj1.q_values, adj1.k1_values
     X1, Y1, X2 = var.X1.values, var.Y1.scalar(), var.X2.values
     dt, n = sol.X.grid.dt, spec.n
@@ -374,8 +368,9 @@ def _residual_backward_y2(var):
         sec = frame.second(i)
         v = np.concatenate([X1[:, i], Y1[:, i, None], _dot(K1[:, i], X1[:, i])[:, None]], axis=1)
         forcing = 0.5 * np.einsum("ma,mab,mb->m", v, _hessian(sec, "g", n), v)
-        if mask[i]:
-            forcing = forcing + _dot(q[:, i], dwin[i]["s"]) + dwin[i]["g"]
+        inc = delta.increments.get(i)
+        if inc is not None:
+            forcing = forcing + _dot(q[:, i], inc["s"]) + inc["g"]
         drv0 = _dot(parts["gx"], X2[:, i]) + parts["gz"] * zv + forcing
         return (m_next + drv0 * dt) / (1.0 - parts["gy"] * dt)
 
@@ -583,12 +578,8 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
             val, se = moment_norm(panels[nm], ms)
             norms[name]["values"].append(val)
             norms[name]["stderrs"].append(se)
-        jd_samples = sol_eps.y0_samples - sol.y0_samples
-        jd = float(jd_samples.mean())
-        jd_se = float(jd_samples.std(ddof=1) / np.sqrt(len(jd_samples)))
-        y2s = var.y2_0_samples
-        y2v = float(y2s.mean())
-        y2se = float(y2s.std(ddof=1) / np.sqrt(len(y2s)))
+        jd, jd_se = mean_stderr(sol_eps.y0_samples - sol.y0_samples)
+        y2v, y2se = mean_stderr(var.y2_0_samples)
         jdiff.append((jd, jd_se))
         y2_0.append((y2v, y2se))
         yhat_pairs.append((var.yhat.y0_bsde, var.yhat.y0_bsde_se,

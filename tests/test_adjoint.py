@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fbscontrol as fc
+from fbscontrol._frame import RefFrame
 from fbscontrol.acceptance import _mart_test_problem
 
 from conftest import make_zero_problem
@@ -158,7 +159,7 @@ def test_yhat_null_spike_zero(cz_small):
     bench, _, sol, adj1, adj2 = cz_small
     spike = fc.SpikeSpec(0.25, 0.125, -1.0)  # same value as the reference control
     delta = fc.solve_delta(bench.spec, sol, adj1, spike)
-    yh = fc.solve_yhat(bench.spec, sol, adj1, adj2, spike, delta)
+    yh = fc.solve_yhat(bench.spec, sol, adj1, adj2, delta)
     assert np.all(yh.forcing == 0.0)
     assert np.all(yh.yhat.values == 0.0)
     assert np.all(yh.zhat.values == 0.0)
@@ -169,7 +170,7 @@ def test_yhat_two_estimators_agree_lq(lq_small):
     bench, _, sol, adj1, adj2 = lq_small
     spike = fc.SpikeSpec(0.25, 0.125, 1.0)
     delta = fc.solve_delta(bench.spec, sol, adj1, spike)
-    yh = fc.solve_yhat(bench.spec, sol, adj1, adj2, spike, delta)
+    yh = fc.solve_yhat(bench.spec, sol, adj1, adj2, delta)
     tol = 3.0 * np.hypot(yh.y0_bsde_se, yh.y0_rep_se)
     assert abs(yh.y0_bsde - yh.y0_rep) <= max(tol, 1e-10)
     assert yh.y0_bsde_se > 0
@@ -182,7 +183,7 @@ def test_yhat_coupled_z_analytic_anchor(cz_small):
     t0, eps = 0.25, 0.125
     spike = fc.SpikeSpec(t0, eps, 0.0)
     delta = fc.solve_delta(bench.spec, sol, adj1, spike)
-    yh = fc.solve_yhat(bench.spec, sol, adj1, adj2, spike, delta)
+    yh = fc.solve_yhat(bench.spec, sol, adj1, adj2, delta)
     exact = 0.5 * (np.exp(-t0) - np.exp(-(t0 + eps)))
     dt = sol.X.grid.dt
     tol = 2.0 * exact * dt + 5.0 * max(yh.y0_bsde_se, 1e-12)
@@ -196,7 +197,7 @@ def test_yhat_nonnegative_at_lq_optimum(lq_small):
     for v in (1.0, -2.0, 0.5):
         spike = fc.SpikeSpec(0.25, 0.125, v)
         delta = fc.solve_delta(bench.spec, sol, adj1, spike)
-        yh = fc.solve_yhat(bench.spec, sol, adj1, adj2, spike, delta)
+        yh = fc.solve_yhat(bench.spec, sol, adj1, adj2, delta)
         assert yh.y0_bsde >= -3.0 * yh.y0_bsde_se
 
 
@@ -212,7 +213,8 @@ def test_max_abs_q_reported(lq_small):
     assert adj1.max_abs_q > 0
 
 
-def test_two_dimensional_state_adjoints():
+@pytest.fixture(scope="module")
+def two_dim_stack():
     # rotation drift, constant diffusion column, quadratic data: exercises the
     # general-n contractions in both adjoint solves and the variational states
     n = 2
@@ -236,12 +238,17 @@ def test_two_dimensional_state_adjoints():
     spec = fc.ProblemSpec(n=n, horizon_T=1.0, x0=np.array([1.0, 0.0]), b=b, sigma=sig,
                           g=g, phi=phi, growth_L=20.0,
                           control_set=fc.RealControlSet(np.array([[0.0]])))
-    assert fc.validate_spec(spec, 200, fc.SeedSpec(24)).passed
     grid = fc.TimeGrid(1.0, 32)
     bundle = fc.sample_brownian(grid, 600, fc.SeedSpec(24))
     sol = fc.solve_coupled_picard(spec, ZERO, bundle, fc.PicardOpts())
     adj1 = fc.solve_first_order_adjoint(spec, sol, ZERO)
     adj2 = fc.solve_second_order_adjoint(spec, sol, adj1)
+    return spec, bundle, sol, adj1, adj2
+
+
+def test_two_dimensional_state_adjoints(two_dim_stack):
+    spec, _, sol, adj1, adj2 = two_dim_stack
+    assert fc.validate_spec(spec, 200, fc.SeedSpec(24)).passed
     assert adj1.p_values.shape == (600, 33, 2)
     assert adj2.P_values.shape == (600, 33, 2, 2)
     assert np.abs(adj2.P_values - adj2.P_values.transpose(0, 1, 3, 2)).max() <= 1e-10
@@ -251,3 +258,39 @@ def test_two_dimensional_state_adjoints():
     var = fc.simulate_variations(spec, sol, adj1, adj2, spike, delta)
     assert np.all(var.X1.values == 0.0)  # control never enters the diffusion
     assert np.isfinite(var.Y2.values).all()
+
+
+@pytest.mark.parametrize("stack", ["lq_small", "cz_small", "two_dim_stack"])
+def test_hamiltonian_terms_match_node_loop(stack, request):
+    # H = g + <p, b> + <q, sigma>; a_y, a_z add g_z <p, sigma_y|z> / (1 - <p, sigma_z>).
+    # The reference writes each term out node by node, in the same order.
+    adj1 = request.getfixturevalue(stack)[3]
+    frame, p, q = adj1.frame, adj1.p_values, adj1.q_values
+    shape = (frame.M, frame.grid.N + 1)
+    Hy, Hz, a_y, a_z = (np.empty(shape) for _ in range(4))
+    dot = lambda a, b: np.einsum("mi,mi->m", a, b)
+    for i in range(shape[1]):
+        parts = frame.first(i)
+        Hy[:, i] = parts["gy"] + dot(p[:, i], parts["by"]) + dot(q[:, i], parts["sy"])
+        Hz[:, i] = parts["gz"] + dot(p[:, i], parts["bz"]) + dot(q[:, i], parts["sz"])
+        mbar = 1.0 - dot(p[:, i], parts["sz"])
+        a_y[:, i] = Hy[:, i] + parts["gz"] * dot(p[:, i], parts["sy"]) / mbar
+        a_z[:, i] = Hz[:, i] + parts["gz"] * dot(p[:, i], parts["sz"]) / mbar
+    for got, want in ((adj1.H_y, Hy), (adj1.H_z, Hz), (adj1.a_y, a_y), (adj1.a_z, a_z)):
+        assert np.array_equal(got, want)
+
+
+def test_reference_partials_read_once(cz_small, monkeypatch):
+    # gamma and yhat read the first-order adjoint's coefficients and the
+    # variational loop evaluates each node's first partials once
+    bench, _, sol, adj1, adj2 = cz_small
+    spike = fc.SpikeSpec(0.25, 0.125, 1.0)
+    delta = fc.solve_delta(bench.spec, sol, adj1, spike)
+    calls = []
+    first = RefFrame.first
+    monkeypatch.setattr(RefFrame, "first", lambda frame, i: calls.append(i) or first(frame, i))
+    fc.solve_gamma(bench.spec, sol, adj1)
+    fc.solve_yhat(bench.spec, sol, adj1, adj2, delta)
+    assert calls == []
+    fc.simulate_variations(bench.spec, sol, adj1, adj2, spike, delta)
+    assert calls == list(range(sol.X.grid.N + 1))

@@ -29,6 +29,28 @@ def test_config_rejects_negative_steps(tmp_path, capsys):
     assert "solver.steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, field", [
+    ({"solver": {"steps": "64"}}, "solver.steps"),
+    ({"solver": {"paths": 2.5}}, "solver.paths"),
+    ({"experiment": {"beta": "2,4"}}, "experiment.beta"),
+])
+def test_config_rejects_mistyped_field(tmp_path, capsys, raw, field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    assert run(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+
+
+def test_config_field_types():
+    cfg = RunConfig.from_dict({"problem": {"x0": 2}, "experiment": {"control": -0.5},
+                               "dump_panels": True})
+    assert cfg.problem.x0 == 2 and cfg.experiment.control == -0.5
+    for raw in ({"seed": True}, {"dump_panels": 1}, {"experiment": {"beta": [2, "4"]}}):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(raw)
+
+
 def test_config_rejects_unknown_field():
     with pytest.raises(ConfigError) as err:
         RunConfig.from_dict({"solver": {"stepz": 12}})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,10 @@ def test_delta_null_perturbation(cz_small):
     spike = fc.SpikeSpec(0.25, 0.125, -1.0)
     delta = fc.solve_delta(bench.spec, sol, adj1, spike)
     assert np.all(delta.panel.values == 0.0)
+    assert list(delta.increments) == list(spike.window_nodes(sol.X.grid))
+    for inc in delta.increments.values():
+        assert set(inc) == {"b", "s", "g"}
+        assert all(np.all(v == 0.0) for v in inc.values())
 
 
 def test_delta_closed_form_vs_fixed_point(cz_small):
@@ -151,6 +157,20 @@ def test_zero_width_spike_through_variations(cz_small):
     assert np.all(var.X1.values == 0.0)
     assert np.all(var.Y2.values == 0.0)
     assert var.yhat.y0_bsde == 0.0 and var.yhat.y0_rep == 0.0
+
+
+def test_order_experiment_single_path():
+    # one path: every standard error is 0.0, with no NaN and no warning
+    bench = fc.benchmark_lq(x0=1.0, sigma0=0.5, T=1.0)
+    bundle = fc.sample_brownian(fc.TimeGrid(1.0, 16), 1, fc.SeedSpec(42))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = fc.run_order_experiment(bench.spec, bench.optimal_control, bundle,
+                                      eps_ladder=[0.25, 0.125], betas=(2.0,))
+    assert not rep.flags
+    assert [se for _, se in rep.jdiff] == [0.0, 0.0]
+    assert [se for _, se in rep.y2_0] == [0.0, 0.0]
+    assert all(np.isfinite(v) for v, _ in rep.jdiff + rep.y2_0)
 
 
 def test_order_experiment_flags_failed_rungs(cz_small):
