@@ -27,6 +27,5 @@ from .adjoint import (AdjointOpts, FirstOrderAdjoint, GammaProcess, SecondOrderA
 from .spike import (DeltaProcess, OrderReport, SpikeDiffs, SpikeSpec, VariationBundle,
                     compute_spike_diffs, default_epsilon_ladder, fit_loglog_slope,
                     run_order_experiment, simulate_variations, solve_delta)
-from .hamiltonian import (ConsistencyReport, HamiltonianContext, MpOpts, MpReport,
-                          build_context, check_maximum_principle, eval_script_H,
-                          expansion_consistency, hamiltonian_gap)
+from .hamiltonian import (HamiltonianContext, MpOpts, MpReport, build_context,
+                          check_maximum_principle, eval_script_H, hamiltonian_gap)

@@ -79,12 +79,3 @@ class RefFrame:
             "sy": self.spec.sigma.first("dy", t, x, y, zs, u_new),
             "sz": self.spec.sigma.first("dz", t, x, y, zs, u_new),
         }
-
-    def sigma_at_z(self, i, u_vals, dz):
-        """sigma(t, X, Y, Z + dz, u) for the delta fixed point."""
-        t, x, y, z, _ = self.state(i)
-        return self.spec.sigma.value(t, x, y, z + dz, u_vals)
-
-    def sigma_z_at(self, i, u_vals, dz):
-        t, x, y, z, _ = self.state(i)
-        return self.spec.sigma.first("dz", t, x, y, z + dz, u_vals)

@@ -43,7 +43,6 @@ class SolverConfig:
     steps: int = 256
     paths: int = 10000
     basis_degree: int = 2
-    picard_tol: float = 1e-6
     picard_max: int = 50
     c_min: float = 0.1
 
@@ -95,8 +94,6 @@ class RunConfig:
             raise ConfigError("solver.steps", f"must be >= 2, got {self.solver.steps}")
         if self.solver.paths < 1:
             raise ConfigError("solver.paths", f"must be >= 1, got {self.solver.paths}")
-        if self.solver.picard_tol <= 0:
-            raise ConfigError("solver.picard_tol", "must be positive")
         if self.problem.T <= 0:
             raise ConfigError("problem.T", "must be positive")
         if self.problem.name not in ("lq", "coupled_z"):
@@ -152,8 +149,7 @@ def select_control(cfg: RunConfig, bench):
 
 
 def _opts(cfg: RunConfig):
-    picard = PicardOpts(max_sweeps=cfg.solver.picard_max, tol=cfg.solver.picard_tol,
-                        degree=cfg.solver.basis_degree)
+    picard = PicardOpts(max_sweeps=cfg.solver.picard_max, degree=cfg.solver.basis_degree)
     adj = AdjointOpts(c_min=cfg.solver.c_min)
     return picard, adj
 
@@ -196,6 +192,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         "value_oracle": bench.value,
         "residual_trace": sol.residual_trace,
         "sweeps": sol.sweeps,
+        "rho": sol.rho,
+        "change_bound": sol.change_bound,
         "margin": adj1.margin,
         "max_abs_q": adj1.max_abs_q,
         "gamma_min": float(gamma.gamma.values.min()),

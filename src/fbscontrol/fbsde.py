@@ -19,10 +19,15 @@ from .regression import (NodeBasis, NodeFit, _backward_regression, _fixed_point,
                          _require_finite_paths, _swap_major)
 
 
+# Picard stops once its bound on the change still to come is at most SE_SHARE
+# of the value's standard error; FLOOR is the target when the value has no spread
+SE_SHARE = 0.1
+FLOOR = 1e-6
+
+
 @dataclass
 class PicardOpts:
     max_sweeps: int = 50
-    tol: float = 1e-6
     degree: int = 2          # total degree of the polynomial regression basis
     inner_tol: float = 1e-10
     inner_max: int = 10
@@ -40,6 +45,8 @@ class FbsdeSolution:
     y0_samples: np.ndarray
     closures: list   # the final sweep's NodeFit per node 0..N-1, returning (Y, Z)
     bases: list      # the final sweep's NodeBasis per node 0..N-1
+    rho: Optional[float]   # the stopping sweep's contraction rate (None at sweep 2)
+    change_bound: float    # and its bound on the change still to come
 
     @property
     def ridge_nodes(self) -> list:
@@ -149,12 +156,18 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
 def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
                          bundle: BrownianBundle, opts: PicardOpts = None) -> FbsdeSolution:
     """Alternate forward simulation (with current Y/Z closures) and backward
-    regression until the panels stop changing.
+    regression until the change still to come is below the value's Monte Carlo
+    error.
 
-    The residual per sweep is the max over (X, Y, Z) of the sup-over-nodes root
-    mean square path change; decoupled problems converge at sweep 2 with a
-    residual at the regression-noise floor (exactly zero when b and sigma
-    ignore y and z).
+    The residual r_k of sweep k is the max over (X, Y, Z) of the sup-over-nodes
+    root mean square path change. From sweep 3 on, the contraction rate rho is
+    the larger of the last two ratios r_k / r_{k-1}, and the change still to
+    come is bounded by r_k rho / (1 - rho). The solve stops at the first sweep
+    with r_k = 0 (decoupled problems whose b and sigma ignore y and z, at
+    sweep 2), or with rho < 1 and the bound at most max(SE_SHARE * se, FLOOR),
+    where se is this sweep's value standard error; FLOOR matters only when the
+    value has (next to) no spread, as with one path. After ``max_sweeps`` it
+    raises NoConvergenceError with the residual trace.
     """
     if opts is None:
         opts = PicardOpts()
@@ -173,9 +186,17 @@ def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
                 _panel_change(Z.values, prev[2]),
             )
             trace.append(res)
-            if res <= opts.tol:
+            ratios = [b / a for a, b in zip(trace[-3:-1], trace[-2:])]
+            rho = max(ratios) if ratios else None
+            if res == 0.0:
+                bound = 0.0
+            elif rho is not None and rho < 1.0:
+                bound = res * rho / (1.0 - rho)
+            else:
+                bound = np.inf
+            if bound <= max(SE_SHARE * mean_stderr(rep["y0_samples"])[1], FLOOR):
                 return FbsdeSolution(X, Y, Z, control, bundle, trace, sweep,
-                                     rep["y0_samples"], closures, rep["bases"])
+                                     rep["y0_samples"], closures, rep["bases"], rho, bound)
         prev = (X.values, Y.values, Z.values)
         del rep  # free this sweep's bases before the next sweep builds its own
     err = NoConvergenceError("picard", trace[-1] if trace else np.inf,

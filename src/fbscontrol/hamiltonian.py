@@ -13,15 +13,15 @@ significant negative gap script_H(u) - script_H(u_ref).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import AdjointOpts, FirstOrderAdjoint, SecondOrderAdjoint
-from .fbsde import FbsdeSolution, PicardOpts
+from .adjoint import FirstOrderAdjoint, SecondOrderAdjoint
+from .fbsde import FbsdeSolution
 from .model import ProblemSpec
-from .paths import BrownianBundle, mean_stderr
-from .spike import delta_at_node, run_order_experiment
+from .paths import mean_stderr
+from .spike import delta_at_node
 
 
 @dataclass
@@ -37,11 +37,6 @@ class HamiltonianContext:
     P: np.ndarray      # (M, n, n)
     c_min: float = 0.1
 
-    def delta_for(self, u_vals) -> np.ndarray:
-        d, _, _, _ = delta_at_node(self.spec, self.frame, self.p, self.node, u_vals,
-                                   c_min=self.c_min)
-        return d
-
     def _as_controls(self, u) -> np.ndarray:
         M = self.p.shape[0]
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -56,20 +51,51 @@ def build_context(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
                               adj1.q_values[:, node], adj2.P_values[:, node], c_min)
 
 
+def _script_H(ctx: HamiltonianContext, state, sig_ref, p, q, P, u_vals) -> np.ndarray:
+    """Generalized Hamiltonian per row at the context node, for rows of the node
+    state (t, x, y, z, u_ref) with sig_ref = sigma at u_ref, adjoints p, q, P
+    and controls u_vals."""
+    spec = ctx.spec
+    t, x, y, z, _ = state
+    delta, _, _, _ = delta_at_node(spec, state, sig_ref, p, ctx.node, u_vals, c_min=ctx.c_min)
+    b_v = spec.b.value(t, x, y, z + delta, u_vals)
+    s_v = spec.sigma.value(t, x, y, z + delta, u_vals)
+    g_v = spec.g.value(t, x, y, z + delta, u_vals)
+    ds = s_v - sig_ref
+    quad = 0.5 * np.einsum("mi,mij,mj->m", ds, P, ds)
+    return (np.einsum("mi,mi->m", p, b_v)
+            + np.einsum("mi,mi->m", q, s_v) + g_v + quad)
+
+
 def eval_script_H(ctx: HamiltonianContext, u) -> np.ndarray:
     """Generalized Hamiltonian at the context node for control point u, per path."""
-    u_vals = ctx._as_controls(u)
-    delta = ctx.delta_for(u_vals)
-    frame, i = ctx.frame, ctx.node
-    t, x, y, z, u_ref = frame.state(i)
-    sig_ref = ctx.spec.sigma.value(t, x, y, z, u_ref)
-    b_v = ctx.spec.b.value(t, x, y, z + delta, u_vals)
-    s_v = ctx.spec.sigma.value(t, x, y, z + delta, u_vals)
-    g_v = ctx.spec.g.value(t, x, y, z + delta, u_vals)
-    ds = s_v - sig_ref
-    quad = 0.5 * np.einsum("mi,mij,mj->m", ds, ctx.P, ds)
-    return (np.einsum("mi,mi->m", ctx.p, b_v)
-            + np.einsum("mi,mi->m", ctx.q, s_v) + g_v + quad)
+    state = ctx.frame.state(ctx.node)
+    t, x, y, z, u_ref = state
+    return _script_H(ctx, state, ctx.spec.sigma.value(t, x, y, z, u_ref), ctx.p, ctx.q, ctx.P,
+                     ctx._as_controls(u))
+
+
+def _candidate_block(ctx: HamiltonianContext, candidates: np.ndarray) -> np.ndarray:
+    """script_H of each control point in the (U, k) ``candidates``, shape (U, M).
+
+    One u-major block of U*M rows: candidate j fills rows j*M .. (j+1)*M - 1,
+    against the node state, p, q and P tiled U times. On the closed-form Delta
+    routes row j equals ``eval_script_H(ctx, candidates[j])`` bit for bit; the
+    fixed-point route iterates until every row of the block has converged, so
+    there it agrees to the fixed point's tolerance. The rows are control
+    points, never a per-path (M, k) control like u_ref.
+    """
+    U, M = len(candidates), ctx.p.shape[0]
+
+    def tile(a):
+        return np.tile(a, (U,) + (1,) * (a.ndim - 1))
+
+    t, *rows = ctx.frame.state(ctx.node)
+    state = (t,) + tuple(tile(a) for a in rows)
+    sig_ref = ctx.spec.sigma.value(*state)
+    h = _script_H(ctx, state, sig_ref, tile(ctx.p), tile(ctx.q), tile(ctx.P),
+                  np.repeat(candidates, M, axis=0))
+    return h.reshape(U, M)
 
 
 def hamiltonian_gap(ctx: HamiltonianContext, u) -> np.ndarray:
@@ -148,18 +174,19 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
     def scan(i, ctx, h_ref, u_candidates):
         nonlocal min_z, worst
         best_u, best_mean = None, np.inf
-        for u_pt in u_candidates:
-            # hamiltonian_gap(ctx, u_pt), with the node's reference term computed once
-            gap = eval_script_H(ctx, u_pt) - h_ref
-            mg, se = mean_stderr(gap)
-            zsc = _z_score(mg, se)
-            table.append((float(grid.nodes[i]), tuple(np.atleast_1d(u_pt).tolist()), mg, se, zsc))
-            if zsc < min_z:
-                min_z = zsc
-                worst = (mg, {"node": int(i), "t": float(grid.nodes[i]),
-                              "u": np.atleast_1d(u_pt).tolist()}, se)
-            if mg < best_mean:
-                best_mean, best_u = mg, np.atleast_1d(u_pt).astype(float)
+        # at most N + 1 candidates per block, so a block is never larger than a panel
+        for start in range(0, len(u_candidates), grid.N + 1):
+            block = u_candidates[start:start + grid.N + 1]
+            for u_pt, gap in zip(block, _candidate_block(ctx, block) - h_ref):
+                mg, se = mean_stderr(gap)
+                zsc = _z_score(mg, se)
+                table.append((float(grid.nodes[i]), tuple(u_pt.tolist()), mg, se, zsc))
+                if zsc < min_z:
+                    min_z = zsc
+                    worst = (mg, {"node": int(i), "t": float(grid.nodes[i]),
+                                  "u": u_pt.tolist()}, se)
+                if mg < best_mean:
+                    best_mean, best_u = mg, u_pt
         return best_u
 
     for i in node_idx:
@@ -172,60 +199,10 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
             center = best_u
             for _ in range(opts.refine_rounds):
                 span = span / 2.0
-                local = [center - span, center + span]
+                local = np.array([center - span, center + span])
                 better = scan(i, ctx, h_ref, local)
                 center = better if better is not None else center
 
     verdict = "PASS" if min_z >= opts.z_threshold else "FAIL"
     return MpReport(verdict, float(min_z), float(worst[0]), worst[1] or {},
                     len(table), table, refined)
-
-
-@dataclass
-class ConsistencyReport:
-    eps: list
-    jdiff: list
-    y2_0: list
-    yhat_pairs: list
-    defect: list
-    defect_over_eps: list
-    max_defect_over_eps: float
-    defect_slope: float
-    defect_slope_half_width: float
-    flags: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "eps": list(self.eps),
-            "jdiff": [list(x) for x in self.jdiff],
-            "y2_0": [list(x) for x in self.y2_0],
-            "yhat_pairs": [list(x) for x in self.yhat_pairs],
-            "defect": list(self.defect),
-            "defect_over_eps": list(self.defect_over_eps),
-            "max_defect_over_eps": self.max_defect_over_eps,
-            "defect_slope": self.defect_slope,
-            "defect_slope_half_width": self.defect_slope_half_width,
-            "flags": {str(k): v for k, v in self.flags.items()},
-        }
-
-
-def expansion_consistency(spec: ProblemSpec, control, bundle: BrownianBundle,
-                          eps_ladder=None, spike_at: float = None, spike_value=1.0,
-                          picard: PicardOpts = None, adjoint_opts: AdjointOpts = None,
-                          reference: FbsdeSolution = None, adjoints=None) -> ConsistencyReport:
-    """Consistency of the first-order expansion: J(u^eps) - J(u_ref) against the
-    second-order variational value Y2(0) (equivalently the auxiliary backward
-    value), reporting the per-epsilon defect, its ratio to eps, and its decay
-    slope over the ladder."""
-    report = run_order_experiment(
-        spec, control, bundle, eps_ladder=eps_ladder, betas=(2.0,),
-        spike_at=spike_at, spike_value=spike_value, picard=picard,
-        adjoint_opts=adjoint_opts, reference=reference, adjoints=adjoints,
-    )
-    over = [d / e if np.isfinite(d) else float("nan")
-            for d, e in zip(report.defect, report.eps)]
-    finite = [v for v in over if np.isfinite(v)]
-    sf = report.slopes["expansion_defect"]
-    return ConsistencyReport(report.eps, report.jdiff, report.y2_0, report.yhat_pairs,
-                             report.defect, over, max(finite) if finite else float("nan"),
-                             sf.slope, sf.half_width, report.flags)

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._frame import RefFrame
 from .adjoint import (AdjointOpts, FirstOrderAdjoint, SecondOrderAdjoint, YhatSolution,
                       _hessian, solve_first_order_adjoint, solve_second_order_adjoint,
                       solve_yhat)
@@ -81,21 +80,22 @@ class DeltaProcess:
     max_iterations: int = 0
 
 
-def delta_at_node(spec: ProblemSpec, frame: RefFrame, p_node: np.ndarray, i: int,
+def delta_at_node(spec: ProblemSpec, state, sig_ref: np.ndarray, p_node: np.ndarray, i: int,
                   u_vals: np.ndarray, c_min: float = 0.1, tol: float = 1e-12,
                   cap: int = 50, force_fixed_point: bool = False):
     """Solve Delta = <p, sigma(t, X, Y, Z + Delta, u) - sigma(t, X, Y, Z, u_ref)>
-    at one node, vectorized over paths. Returns (delta, residual, method, iters).
+    at node i, vectorized over the rows of the node state (t, X, Y, Z, u_ref),
+    with ``sig_ref`` = sigma(t, X, Y, Z, u_ref). Returns (delta, residual,
+    method, iters).
 
     Route: z-free sigma -> one-step closed form; declared linear-in-z -> exact
     inverse; otherwise damped fixed point with a Newton fallback on stall.
     """
-    t, x, y, z, u_ref = frame.state(i)
-    sig_ref = spec.sigma.value(t, x, y, z, u_ref)
+    t, x, y, z, u_ref = state
     M = x.shape[0]
 
     def residual_of(delta):
-        return delta - _dot(p_node, frame.sigma_at_z(i, u_vals, delta) - sig_ref)
+        return delta - _dot(p_node, spec.sigma.value(t, x, y, z + delta, u_vals) - sig_ref)
 
     sz_here = spec.sigma.first("dz", t, x, y, z, u_vals)
     if not force_fixed_point and float(np.abs(sz_here).max()) == 0.0 \
@@ -119,7 +119,7 @@ def delta_at_node(spec: ProblemSpec, frame: RefFrame, p_node: np.ndarray, i: int
     theta = 0.8
     iters = 0
     for iters in range(1, cap // 2 + 1):
-        rhs = _dot(p_node, frame.sigma_at_z(i, u_vals, delta) - sig_ref)
+        rhs = _dot(p_node, spec.sigma.value(t, x, y, z + delta, u_vals) - sig_ref)
         new = (1.0 - theta) * delta + theta * rhs
         if np.max(np.abs(new - delta)) <= tol * (1.0 + np.max(np.abs(new))):
             return new, residual_of(new), FIXED_POINT, iters
@@ -127,7 +127,7 @@ def delta_at_node(spec: ProblemSpec, frame: RefFrame, p_node: np.ndarray, i: int
     for j in range(cap - cap // 2):
         iters += 1
         res = residual_of(delta)
-        slope = 1.0 - _dot(p_node, frame.sigma_z_at(i, u_vals, delta))
+        slope = 1.0 - _dot(p_node, spec.sigma.first("dz", t, x, y, z + delta, u_vals))
         mm = float(np.abs(slope).min())
         if mm < c_min:
             raise InvertibilityError(mm, c_min, where=f"delta Newton node {i}")
@@ -155,13 +155,14 @@ def solve_delta(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
     max_iters = 0
     for i in spike.window_nodes(grid):
         u_vals = spike.perturb_values(M, i)
-        d, r, method, iters = delta_at_node(spec, frame, adj1.p_values[:, i], i, u_vals,
-                                            c_min=c_min, tol=tol, cap=cap,
+        ref = frame.values(i)
+        d, r, method, iters = delta_at_node(spec, frame.state(i), ref["s"], adj1.p_values[:, i],
+                                            i, u_vals, c_min=c_min, tol=tol, cap=cap,
                                             force_fixed_point=force_fixed_point)
         delta[:, i] = d
         resid[:, i] = r
         max_iters = max(max_iters, iters)
-        shifted, ref = frame.shifted_values(i, u_vals, delta[:, i]), frame.values(i)
+        shifted = frame.shifted_values(i, u_vals, delta[:, i])
         increments[int(i)] = {k: shifted[k] - ref[k] for k in shifted}
     return DeltaProcess(ProcessPanel(delta, grid, "delta"),
                         ProcessPanel(resid, grid, "delta_residual"), increments, method,

@@ -57,6 +57,14 @@ def test_config_rejects_unknown_field():
     assert "solver.stepz" in str(err.value)
 
 
+def test_config_rejects_picard_tol(tmp_path, capsys):
+    # Picard's stopping rule has no tolerance field; an old config says so
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"picard_tol": 1e-6}}))
+    assert run(["solve", "--config", cfg]) == 1
+    assert "'solver.picard_tol': unknown field" in capsys.readouterr().err
+
+
 def test_config_rejects_malformed_json(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -74,6 +82,9 @@ def test_solve_lq(tmp_path, capsys):
     assert abs(summary["value"] - oracle) <= tol
     assert (out / "resolved_config.json").exists()
     assert summary["version"] == fc.__version__
+    # decoupled: Picard stops at sweep 2 on a zero residual, before any rate exists
+    assert (summary["sweeps"], summary["residual_trace"]) == (2, [0.0])
+    assert (summary["rho"], summary["change_bound"]) == (None, 0.0)
 
 
 def test_solve_dump_panels(tmp_path):
@@ -98,7 +109,7 @@ def test_exit_code_no_convergence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "problem": {"name": "coupled_z"},
-        "solver": {"steps": 16, "paths": 150, "picard_max": 2, "picard_tol": 1e-14},
+        "solver": {"steps": 16, "paths": 150, "picard_max": 2},
         "out_dir": str(tmp_path / "o")}))
     assert run(["solve", "--config", cfg]) == 2
 

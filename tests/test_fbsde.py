@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import fbscontrol as fc
+import fbscontrol.spike
 from fbscontrol.errors import InvertibilityError, NoConvergenceError, NonFiniteError
-from fbscontrol.fbsde import LinearFbsdeSpec, simulate_forward, solve_decoupling, solve_linear_fbsde
+from fbscontrol.fbsde import (LinearFbsdeSpec, simulate_forward, solve_bsde_regression,
+                              solve_decoupling, solve_linear_fbsde)
 from fbscontrol.model import Coefficient, TerminalMap, ProblemSpec, RealControlSet
 from fbscontrol.regression import NodeBasis
 
@@ -130,16 +132,78 @@ def test_picard_decoupled_two_sweeps(lq_small):
     _, _, sol, _, _ = lq_small
     assert sol.sweeps == 2
     assert sol.residual_trace == [0.0]
+    assert (sol.rho, sol.change_bound) == (None, 0.0)
 
 
 def test_picard_coupled_trace(cz_small):
-    _, _, sol, _, _ = cz_small
+    bench, bundle, sol, _, _ = cz_small
     trace = sol.residual_trace
-    # a returned solution has converged (otherwise NoConvergenceError is raised)
-    assert len(trace) == sol.sweeps - 1
-    assert trace[-1] <= 1e-6
+    # a returned solution met the stopping rule (otherwise NoConvergenceError is
+    # raised): the contraction rate rho is the larger of the last two residual
+    # ratios, and the change still to come, r rho / (1 - rho), is at most a tenth
+    # of the value's standard error
+    assert len(trace) == sol.sweeps - 1 and sol.sweeps >= 3
+    rho = max(b / a for a, b in zip(trace[-3:-1], trace[-2:]))
+    bound = trace[-1] * rho / (1.0 - rho)
+    assert (sol.rho, sol.change_bound) == (rho, bound)
+    assert 0.0 < rho < 1.0 and bound <= max(0.1 * sol.value_stderr, 1e-6)
+    # the sweep before did not meet it: capped there, the same sweeps raise
+    with pytest.raises(NoConvergenceError) as err:
+        fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle,
+                                fc.PicardOpts(max_sweeps=sol.sweeps - 1))
+    assert err.value.trace == trace[:-1]
     # strictly decreasing after the first recorded sweep
     assert all(b < a for a, b in zip(trace[1:], trace[2:]))
+
+
+def test_picard_single_path_stops_at_floor():
+    # one path: the value has no spread, so the bound must reach the 1e-6 floor
+    bench = fc.benchmark_coupled_z(0.1)
+    bundle = fc.sample_brownian(fc.TimeGrid(1.0, 16), 1, fc.SeedSpec(42))
+    sol = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle, fc.PicardOpts())
+    assert sol.value_stderr == 0.0
+    assert 0.0 < sol.change_bound <= 1e-6 and sol.rho < 1.0
+
+
+def _strict_picard(spec, control, bundle, opts=None, sweeps=30):
+    """Reference solve: a fixed number of plain sweeps and no stopping rule.
+    Takes and ignores ``opts`` so that it can stand in for solve_coupled_picard."""
+    closures = None
+    for _ in range(sweeps):
+        X = simulate_forward(spec, control, closures, bundle)
+        Y, Z, closures, rep = solve_bsde_regression(spec, control, X, bundle)
+    return fc.FbsdeSolution(X, Y, Z, control, bundle, [], sweeps, rep["y0_samples"], closures,
+                            rep["bases"], None, 0.0)
+
+
+def test_stopping_rule_against_strict_reference(monkeypatch):
+    # the rule stops long before 30 sweeps, yet J, the order-report slopes and
+    # the mp verdict agree with 30-sweep solves within their Monte Carlo error
+    bench = fc.benchmark_coupled_z(0.1)
+    spec, control = bench.spec, bench.optimal_control
+    bundle = fc.sample_brownian(fc.TimeGrid(1.0, 32), 2000, fc.SeedSpec(7))
+    sol = fc.solve_coupled_picard(spec, control, bundle, fc.PicardOpts())
+    strict = _strict_picard(spec, control, bundle)
+    assert sol.sweeps < 15
+    assert abs(sol.value - strict.value) <= 0.1 * strict.value_stderr
+
+    reports, verdicts = [], []
+    for ref, solver in ((sol, fc.solve_coupled_picard), (strict, _strict_picard)):
+        adj1 = fc.solve_first_order_adjoint(spec, ref, control)
+        adj2 = fc.solve_second_order_adjoint(spec, ref, adj1)
+        monkeypatch.setattr(fbscontrol.spike, "solve_coupled_picard", solver)
+        reports.append(fc.run_order_experiment(spec, control, bundle,
+                                               eps_ladder=[0.125, 0.0625, 0.03125],
+                                               betas=(2.0,), spike_at=0.25,
+                                               reference=ref, adjoints=(adj1, adj2)))
+        verdicts.append(fc.check_maximum_principle(spec, control, ref, adj1, adj2,
+                                                   fc.MpOpts(n_nodes=8)).verdict)
+    rep, strict_rep = reports
+    assert not rep.flags and not strict_rep.flags
+    for name, sf in strict_rep.slopes.items():
+        if not sf.degenerate:
+            assert abs(rep.slopes[name].slope - sf.slope) < sf.half_width, name
+    assert verdicts[0] == verdicts[1]
 
 
 def test_picard_value_vs_affine_oracle(cz_small):
@@ -192,7 +256,7 @@ def test_picard_no_convergence_reports_trace():
     bundle = fc.sample_brownian(grid, 200, fc.SeedSpec(7))
     with pytest.raises(NoConvergenceError) as err:
         fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle,
-                                fc.PicardOpts(max_sweeps=3, tol=1e-14))
+                                fc.PicardOpts(max_sweeps=2))
     assert hasattr(err.value, "trace") and len(err.value.trace) >= 1
 
 
