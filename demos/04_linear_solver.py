@@ -59,8 +59,8 @@ for stream in (5, 6):
     for _ in range(8):
         a = rng.uniform(-0.5, 0.5, size=4)
         s = make(0.0, 0.0, 0.0, 0.0, 0.6)
-        s.L1 = np.ascontiguousarray((a[0] + a[1] * B)[:, :, None])
-        s.L2 = np.ascontiguousarray((a[2] + a[3] * B)[:, :, None])
+        s.L1 = (a[0] + a[1] * B)[:, :, None]
+        s.L2 = (a[2] + a[3] * B)[:, :, None]
         s.varsigma = a[0] + 0.5 * B[:, -1]
         _, (X, Y, Z) = run(s)
         ratios.append(fc.check_lbeta_estimate(s, X, Y, Z, beta=2.0).ratio)

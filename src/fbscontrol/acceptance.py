@@ -301,9 +301,9 @@ class AcceptanceSession:
             for _ in range(20):
                 a = rng.uniform(-0.5, 0.5, size=6)
                 s = make(0.0, 0.0, 0.0, 0.0, 0.6)
-                s.L1 = np.ascontiguousarray((a[0] + a[1] * B)[:, :, None])
-                s.L2 = np.ascontiguousarray((a[2] + a[3] * B)[:, :, None])
-                s.L3 = np.ascontiguousarray(a[4] + a[5] * B)
+                s.L1 = (a[0] + a[1] * B)[:, :, None]
+                s.L2 = (a[2] + a[3] * B)[:, :, None]
+                s.L3 = a[4] + a[5] * B
                 s.varsigma = a[0] + 0.5 * B[:, -1]
                 X, Y, Z = run(s)
                 ratios.append(check_lbeta_estimate(s, X, Y, Z, beta=2.0).ratio)

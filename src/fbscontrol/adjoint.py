@@ -12,7 +12,7 @@ import numpy as np
 from ._frame import RefFrame
 from .errors import InvertibilityError
 from .fbsde import FbsdeSolution, _dot, _solve_first_order
-from .paths import ProcessPanel, mean_stderr
+from .paths import ProcessPanel, mean_stderr, node_major
 from .regression import _backward_regression, _fixed_point
 
 
@@ -111,7 +111,7 @@ def solve_first_order_adjoint(spec, sol: FbsdeSolution, control,
     p, q, K1, margin, max_iters = _solve_first_order(
         sol.bases.__getitem__, spec.phi.dx(frame.X[:, grid.N]), sol.bundle.dB, grid.dt,
         frame.first, opts.c_min, opts.fp_tol, opts.fp_max)
-    Hy, Hz, a_y, a_z = (np.empty((frame.M, grid.N + 1)) for _ in range(4))
+    Hy, Hz, a_y, a_z = (node_major((frame.M, grid.N + 1)) for _ in range(4))
     for i in range(grid.N + 1):
         parts = frame.first(i)
         Hy[:, i] = parts["gy"] + _dot(p[:, i], parts["by"]) + _dot(q[:, i], parts["sy"])
@@ -188,7 +188,7 @@ def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint
     pv_all, qv_all, k1_all = adj1.p_values, adj1.q_values, adj1.k1_values
     Hy, Hz = adj1.H_y, adj1.H_z
 
-    K2 = np.zeros((M, N + 1, n, n))
+    K2 = node_major((M, N + 1, n, n))
     max_iters = 0
 
     def node_pieces(i):
@@ -258,7 +258,7 @@ def _weight_process(a, c, grid, dB) -> GammaProcess:
     """Forward log-space Euler integration of d gamma = gamma (a dt + c dB),
     gamma_0 = 1; positivity is structural because the log is integrated."""
     M, N, dt = a.shape[0], grid.N, grid.dt
-    logg = np.zeros((M, N + 1))
+    logg = node_major((M, N + 1))
     for i in range(N):
         logg[:, i + 1] = logg[:, i] + (a[:, i] - 0.5 * c[:, i] ** 2) * dt + c[:, i] * dB[:, i]
     return GammaProcess(ProcessPanel(np.exp(logg), grid, "gamma"), a, c)
@@ -274,7 +274,7 @@ def spiked_forcing(adj1: FirstOrderAdjoint, adj2: SecondOrderAdjoint, delta):
     """Forcing [dH(t, Delta) + 0.5 dsig' P dsig] 1_E along the window, from the
     spike increments (db, dsig, dg) that ``solve_delta`` keeps per window node."""
     p, q, P = adj1.p_values, adj1.q_values, adj2.P_values
-    F = np.zeros(p.shape[:2])
+    F = node_major(p.shape[:2])
     for i, inc in delta.increments.items():
         ds = inc["s"]
         dH = _dot(p[:, i], inc["b"]) + _dot(q[:, i], ds) + inc["g"]

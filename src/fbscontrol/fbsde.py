@@ -14,9 +14,9 @@ import numpy as np
 from .errors import InvertibilityError, NoConvergenceError
 from .model import ControlLaw, ProblemSpec
 from .paths import (SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, TimeGrid,
-                    mean_stderr, moment_norm)
+                    mean_stderr, moment_norm, node_major)
 from .regression import (NodeBasis, NodeFit, _backward_regression, _fixed_point, _regress,
-                         _require_finite_paths, _swap_major)
+                         _require_finite_paths)
 
 
 # Picard stops once its bound on the change still to come is at most SE_SHARE
@@ -69,27 +69,25 @@ def simulate_forward(spec: ProblemSpec, control: ControlLaw,
 
     When the drift/diffusion read (y, z), the per-node fits ``closures[i]``
     supply those values from the current state; ``closures=None`` feeds zeros
-    (the Picard cold start, also correct for decoupled problems). The steps run
-    on a node-major buffer; the panel is path-major. dB_i is read in place: a
-    node-major copy would cost one more panel per Picard sweep.
+    (the Picard cold start, also correct for decoupled problems).
     """
     grid = bundle.grid
     M, N = bundle.M, grid.N
     dt = grid.dt
     nodes, dB = grid.nodes, bundle.dB
-    X = np.empty((N + 1, M, spec.n))
-    X[0] = spec.x0
+    X = node_major((M, N + 1, spec.n))
+    X[:, 0] = spec.x0
     zeros = np.zeros(M)
     for i in range(N):
-        x = X[i]
+        x = X[:, i]
         y, z = closures[i](x) if closures is not None else (zeros, zeros)
         u = control.values_at(i, nodes[i], x)
         bv = spec.b.value(nodes[i], x, y, z, u)
         sv = spec.sigma.value(nodes[i], x, y, z, u)
         nxt = x + bv * dt + sv * dB[:, i, None]
         _require_finite_paths(nxt, label, i + 1)
-        X[i + 1] = nxt
-    return ProcessPanel(_swap_major(X), grid, label=label)
+        X[:, i + 1] = nxt
+    return ProcessPanel(X, grid, label=label)
 
 
 def _ridge_nodes(bases):
@@ -113,21 +111,20 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
     """
     grid, dB = bundle.grid, bundle.dB
     N, dt, nodes = grid.N, grid.dt, grid.nodes
-    X_rows = _swap_major(X.values)
 
-    terminal = spec.phi.value(X_rows[N])
+    terminal = spec.phi.value(X.values[:, N])
     # pathwise value accumulator: same driver evaluations, no intermediate
     # refitting, so Y(0) samples keep an honest cross-path spread
     y_path = np.array(terminal, dtype=float)
     bases, y_coefs = [None] * N, [None] * N
 
     def basis_at(i):
-        bases[i] = NodeBasis(X_rows[i], degree)
+        bases[i] = NodeBasis(X.values[:, i], degree)
         return bases[i]
 
     def node(i, nb, y_next, m, z):
         nonlocal y_path
-        x = X_rows[i]
+        x = X.values[:, i]
         u = control.values_at(i, nodes[i], x)
         last, y_fit = None, None
 
@@ -216,15 +213,7 @@ def _panel_change(new, old):
 
 def _panelize(arr, M, n_nodes, shape):
     """Broadcast a constant / deterministic / adapted coefficient to a full panel view."""
-    a = np.asarray(arr, dtype=float)
-    target = (M, n_nodes) + tuple(shape)
-    if a.shape == target:
-        return a
-    if a.ndim == len(shape):            # constant
-        return np.broadcast_to(a, target)
-    if a.shape == (n_nodes,) + tuple(shape):  # deterministic in time
-        return np.broadcast_to(a[None], target)
-    return np.broadcast_to(a, target)
+    return np.broadcast_to(np.asarray(arr, dtype=float), (M, n_nodes) + tuple(shape))
 
 
 @dataclass
@@ -340,7 +329,7 @@ def _solve_first_order(basis_at, terminal, dB, dt, parts_at, c_min, fp_tol, fp_m
     node, otherwise by a fixed point. Returns (p, q, K1, smallest margin
     |1 - <p, sigma_z>|, most iterations at a node)."""
     N = dB.shape[1]
-    K1 = np.empty((dB.shape[0], N + 1) + np.shape(terminal)[1:])
+    K1 = node_major((dB.shape[0], N + 1) + np.shape(terminal)[1:])
     margin, max_iters = np.inf, 0
 
     def node(i, nb, p_next, m, q):
@@ -420,7 +409,7 @@ def solve_linear_fbsde(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
     W = (np.einsum("mti,mti->mt", dec.p, lspec.b2) * dec.phi
          + np.einsum("mti,mti->mt", dec.p, lspec.L2) + dec.nu) / mbar
 
-    X = np.empty((M, N + 1, n))
+    X = node_major((M, N + 1, n))
     X[:, 0] = lspec.x0
     for i in range(N):
         x = X[:, i]

@@ -38,11 +38,13 @@ class HamiltonianContext:
     c_min: float = 0.1
 
     def _as_controls(self, u) -> np.ndarray:
-        M = self.p.shape[0]
+        M, k = self.p.shape[0], self.frame.U.shape[2]
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.ndim == 1:
-            return np.broadcast_to(u, (M, len(u)))
-        return u
+        rows = np.broadcast_to(u, (M, len(u))) if u.ndim == 1 else u
+        if rows.shape != (M, k):
+            raise ValueError(f"control of shape {u.shape} at node {self.node}: pass a control "
+                             f"point ({k},) or a per-path control ({M}, {k})")
+        return rows
 
 
 def build_context(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
@@ -68,7 +70,9 @@ def _script_H(ctx: HamiltonianContext, state, sig_ref, p, q, P, u_vals) -> np.nd
 
 
 def eval_script_H(ctx: HamiltonianContext, u) -> np.ndarray:
-    """Generalized Hamiltonian at the context node for control point u, per path."""
+    """Generalized Hamiltonian at the context node, per path, for a control
+    point u of shape (k,) or a per-path control of shape (M, k); a 2-D u is
+    always per-path, never a list of control points."""
     state = ctx.frame.state(ctx.node)
     t, x, y, z, u_ref = state
     return _script_H(ctx, state, ctx.spec.sigma.value(t, x, y, z, u_ref), ctx.p, ctx.q, ctx.P,
@@ -99,7 +103,8 @@ def _candidate_block(ctx: HamiltonianContext, candidates: np.ndarray) -> np.ndar
 
 
 def hamiltonian_gap(ctx: HamiltonianContext, u) -> np.ndarray:
-    """script_H(u) - script_H(u_ref) per path (exactly zero at u = u_ref)."""
+    """script_H(u) - script_H(u_ref) per path (exactly zero at u = u_ref), for
+    u as in :func:`eval_script_H`: a 2-D u is always a per-path (M, k) control."""
     _, _, _, _, u_ref = ctx.frame.state(ctx.node)
     return eval_script_H(ctx, u) - eval_script_H(ctx, u_ref)
 

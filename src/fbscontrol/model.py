@@ -29,6 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EvaluatorError, InvertibilityError
+from .paths import node_major
 
 GENERAL = "GENERAL"
 LINEAR_IN_Z = "LINEAR_IN_Z"
@@ -260,7 +261,7 @@ def tabulate_control(law: ControlLaw, X_values: np.ndarray, grid) -> OpenLoopCon
     """Freeze a law along simulated paths into an open-loop panel."""
     M, n_nodes, _ = X_values.shape
     nodes = grid.nodes
-    out = np.empty((M, n_nodes, law.k))
+    out = node_major((M, n_nodes, law.k))
     for i in range(n_nodes):
         out[:, i, :] = law.values_at(i, nodes[i], X_values[:, i, :])
     return OpenLoopControl(out)

@@ -4,6 +4,10 @@ and Monte Carlo moment estimators.
 All sampling is a pure function of a :class:`SeedSpec`: path ``i`` receives its own
 Philox stream keyed by ``(root, i)``, so panels are bit-identical no matter how the
 work is partitioned.
+
+Every panel the package builds comes from :func:`node_major`: it is indexed
+path-major, (M, N+1, ...), and stored node-major, so one node's values
+``panel[:, i]`` are one contiguous block for the time loops that step them.
 """
 
 from __future__ import annotations
@@ -62,6 +66,13 @@ class SeedSpec:
         return [np.uint64(self.root), np.uint64(self.stream_offset + path)]
 
 
+def node_major(shape) -> np.ndarray:
+    """A zeroed panel of path-major shape (M, N+1, ...) whose memory is
+    node-major (N+1, M, ...)."""
+    M, n_nodes, *rest = shape
+    return np.zeros((n_nodes, M, *rest)).swapaxes(0, 1)
+
+
 @dataclass
 class BrownianBundle:
     """M independent increment streams dB_i ~ N(0, dt) on a grid."""
@@ -76,7 +87,7 @@ class BrownianBundle:
 
     def levels(self) -> np.ndarray:
         """Brownian path values on the nodes, shape (M, N+1), B_0 = 0."""
-        out = np.zeros((self.M, self.grid.N + 1))
+        out = node_major((self.M, self.grid.N + 1))
         np.cumsum(self.dB, axis=1, out=out[:, 1:])
         return out
 
@@ -94,7 +105,7 @@ def sample_brownian(grid: TimeGrid, M: int, seed: SeedSpec) -> BrownianBundle:
     if M < 1:
         raise ValueError("M must be at least 1")
     sqdt = np.sqrt(grid.dt)
-    dB = np.empty((M, grid.N))
+    dB = node_major((M, grid.N))
     for m in range(M):
         rng = np.random.Generator(np.random.Philox(key=seed.key_for(m)))
         dB[m] = rng.standard_normal(grid.N)

@@ -22,6 +22,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NoConvergenceError, NonFiniteError
+from .paths import node_major
 
 RIDGE_LAMBDA = 1e-8
 _DEGENERATE_TOL = 1e-12
@@ -154,12 +155,6 @@ class NodeFit:
         return phi @ self.coef
 
 
-def _swap_major(a):
-    """C-contiguous copy with the first two axes swapped: a path-major
-    (M, N+1, ...) panel becomes node-major (N+1, M, ...) and back."""
-    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
-
-
 def _require_finite_paths(values, what, node):
     """Raise NonFiniteError at the first path whose values are not all finite."""
     finite = np.isfinite(values)
@@ -188,31 +183,26 @@ def _backward_regression(basis_at, terminal, dB, dt, node, what):
     v_i = node(i, nb, v_{i+1}, m, w). Per-path values may be scalars, vectors
     or matrices (regressed flattened). A non-finite regressand v_{i+1} raises
     NonFiniteError naming ``what``, node i+1 and its first bad path. Returns
-    the path-major panels v and w, with w_N = w_{N-1}, and the per-node
-    regression coefficients of w.
-
-    The loop runs on node-major buffers, so each node reads and writes
-    contiguous rows. dB_i is read in place: it is used once per node, and a
-    transposed copy would hold one more panel for the whole solve.
+    the panels v and w, with w_N = w_{N-1}, and the per-node regression
+    coefficients of w.
     """
     M, N = dB.shape
     shape = np.shape(terminal)[1:]
-    v = np.empty((N + 1, M) + shape)
-    w = np.zeros((N + 1, M) + shape)
+    v = node_major((M, N + 1) + shape)
+    w = node_major((M, N + 1) + shape)
     w_coef = [None] * N
-    v[N] = terminal
+    v[:, N] = terminal
     for i in range(N - 1, -1, -1):
         nb = basis_at(i)
-        v_next = v[i + 1]
+        v_next = v[:, i + 1]
         flat = v_next.reshape(M, -1) if v_next.ndim > 2 else v_next
         m = nb.phi @ _regress(nb, flat, what, i + 1)
         db = dB[:, i].reshape((M,) + (1,) * (flat.ndim - 1))
         w_coef[i] = nb.coefficients((flat - m) * db / dt)
-        w[i] = (nb.phi @ w_coef[i]).reshape(v_next.shape)
-        v[i] = node(i, nb, v_next, m.reshape(v_next.shape), w[i])
-    w[N] = w[N - 1]
-    v = _swap_major(v)  # rebinding frees the node-major v before w is copied
-    return v, _swap_major(w), w_coef
+        w[:, i] = (nb.phi @ w_coef[i]).reshape(v_next.shape)
+        v[:, i] = node(i, nb, v_next, m.reshape(v_next.shape), w[:, i])
+    w[:, N] = w[:, N - 1]
+    return v, w, w_coef
 
 
 def _fixed_point(step, start, tol, cap, what, node):

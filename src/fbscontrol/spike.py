@@ -17,7 +17,7 @@ from .errors import InvertibilityError, NoConvergenceError
 from .fbsde import FbsdeSolution, PicardOpts, _dot, solve_coupled_picard
 from .model import LINEAR_IN_Z, OpenLoopControl, ProblemSpec, tabulate_control
 from .paths import (SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, mean_stderr,
-                    moment_norm)
+                    moment_norm, node_major)
 from .regression import NodeBasis, _backward_regression
 
 CLOSED_FORM_SZ0 = "CLOSED_FORM_SZ0"
@@ -59,7 +59,7 @@ class SpikeSpec:
 
     def spiked_control(self, frozen: OpenLoopControl, grid) -> OpenLoopControl:
         """u^eps: the frozen reference panel with the window values replaced."""
-        values = frozen.values.copy()
+        values = np.copy(frozen.values)  # order K: keeps the panel layout
         M = values.shape[0]
         for i in self.window_nodes(grid):
             values[:, i, :] = self.perturb_values(M, i)
@@ -148,8 +148,8 @@ def solve_delta(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
     frame = adj1.frame
     grid = sol.X.grid
     M = frame.M
-    delta = np.zeros((M, grid.N + 1))
-    resid = np.zeros((M, grid.N + 1))
+    delta = node_major((M, grid.N + 1))
+    resid = node_major((M, grid.N + 1))
     increments = {}
     method = CLOSED_FORM_SZ0
     max_iters = 0
@@ -240,12 +240,12 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
     # first order:  dX1 = [bx X1 + by Y1 + bz <K1,X1>] dt
     #                   + [sx X1 + sy Y1 + sz <K1,X1> + dsig(t,Delta) 1_E] dB, Y1 = <p,X1>
     # second order: Y2 = <p,X2> + <P X1, X1>/2 + yhat and Z2 = I + zhat
-    X1 = np.zeros((M, N + 1, n))
-    X2 = np.zeros((M, N + 1, n))
-    Y1 = np.zeros((M, N + 1))
-    Y2 = np.zeros((M, N + 1))
-    Z2 = np.zeros((M, N + 1))
-    I_panel = np.zeros((M, N + 1))
+    X1 = node_major((M, N + 1, n))
+    X2 = node_major((M, N + 1, n))
+    Y1 = node_major((M, N + 1))
+    Y2 = node_major((M, N + 1))
+    Z2 = node_major((M, N + 1))
+    I_panel = node_major((M, N + 1))
     # the window ends before T, so node N has no increments
     for i in range(N + 1):
         parts = frame.first(i)

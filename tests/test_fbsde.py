@@ -331,8 +331,24 @@ def test_simulate_forward_layout_matches_path_major_loop(cz_small):
         u = control.values_at(i, grid.nodes[i], x)
         ref[:, i + 1] = (x + spec.b.value(grid.nodes[i], x, y, z, u) * grid.dt
                          + spec.sigma.value(grid.nodes[i], x, y, z, u) * bundle.dB[:, i, None])
-    assert X.shape == ref.shape and X.flags["C_CONTIGUOUS"]
+    assert X.shape == ref.shape
+    assert all(X[:, i].flags["C_CONTIGUOUS"] for i in range(grid.N + 1))
     assert np.abs(X - ref).max() <= 1e-12
+
+
+def test_bsde_regression_same_bits_on_path_major_panel():
+    # a panel built from a C-contiguous (M, N+1, n) array reads each node
+    # strided, with the same operands and so the same results
+    bench = fc.benchmark_coupled_z(0.1, x0=1.0, T=1.0)
+    spec, control = bench.spec, bench.optimal_control
+    bundle = fc.sample_brownian(fc.TimeGrid(1.0, 32), 1000, fc.SeedSpec(7))
+    sol = fc.solve_coupled_picard(spec, control, bundle, fc.PicardOpts())
+    path_major = fc.ProcessPanel(np.ascontiguousarray(sol.X.values), sol.X.grid, "X")
+    assert not path_major.values[:, 1].flags["C_CONTIGUOUS"]
+    Y, Z, _, rep = solve_bsde_regression(spec, control, sol.X, bundle)
+    Y_c, Z_c, _, rep_c = solve_bsde_regression(spec, control, path_major, bundle)
+    assert np.array_equal(Y.values, Y_c.values) and np.array_equal(Z.values, Z_c.values)
+    assert np.array_equal(rep["y0_samples"], rep_c["y0_samples"])
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,21 @@ def test_mp_table_gaps_match_hamiltonian_gap_bitwise(stack, request):
         assert mean_gap == float(hamiltonian_gap(ctx, np.array(u)).mean())
 
 
+def test_control_shape_is_checked():
+    # a 2-D u is a per-path (M, k) control, so two control points at M = 3 are
+    # not one; nor is a point with two components when k = 1
+    bench = fc.benchmark_lq(x0=1.0, sigma0=0.5, T=1.0)
+    bundle = fc.sample_brownian(fc.TimeGrid(1.0, 8), 3, fc.SeedSpec(SEED))
+    sol = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle, fc.PicardOpts())
+    adj1 = fc.solve_first_order_adjoint(bench.spec, sol, bench.optimal_control)
+    adj2 = fc.solve_second_order_adjoint(bench.spec, sol, adj1)
+    ctx = build_context(bench.spec, sol, adj1, adj2, 4)
+    for fn in (eval_script_H, hamiltonian_gap):
+        for u in ([[0.0], [1.0]], [0.0, 1.0]):
+            with pytest.raises(ValueError, match=r"control point \(1,\) or a per-path control \(3, 1\)"):
+                fn(ctx, u)
+
+
 def test_mp_report_serialization(tmp_path, cz_small):
     bench, _, sol, adj1, adj2 = cz_small
     rep = fc.check_maximum_principle(bench.spec, bench.optimal_control, sol, adj1, adj2,

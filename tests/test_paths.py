@@ -139,3 +139,22 @@ def test_panel_csv_and_dump_roundtrip(tmp_path):
     back = fc.ProcessPanel.load(tmp_path / "p.npz")
     assert np.array_equal(back.values, vals)
     assert back.label == "demo"
+
+
+@pytest.mark.parametrize("stack", ["lq_small", "cz_small"])
+def test_stack_panels_are_contiguous_per_node(stack, request):
+    bench, bundle, sol, adj1, adj2 = request.getfixturevalue(stack)
+    spec, grid = bench.spec, bundle.grid
+    spike = fc.SpikeSpec(0.25, 0.125, 1.0)
+    delta = fc.solve_delta(spec, sol, adj1, spike)
+    var = fc.simulate_variations(spec, sol, adj1, adj2, spike, delta)
+    frozen = fc.tabulate_control(bench.optimal_control, sol.X.values, grid)
+    panels = [bundle.dB, bundle.levels(), sol.X, sol.Y, sol.Z, adj1.p, adj1.q, adj1.K1,
+              adj1.H_y, adj1.H_z, adj1.a_y, adj1.a_z, adj2.P, adj2.Q, adj2.K2,
+              var.yhat.gamma.gamma, delta.panel, delta.residual,
+              var.X1, var.Y1, var.Z1, var.X2, var.Y2, var.Z2, var.I_panel,
+              var.yhat.yhat, var.yhat.zhat, var.yhat.forcing,
+              frozen.values, spike.spiked_control(frozen, grid).values]
+    for k, panel in enumerate(panels):
+        values = getattr(panel, "values", panel)
+        assert all(values[:, i].flags["C_CONTIGUOUS"] for i in range(values.shape[1])), k

@@ -164,7 +164,7 @@ def test_backward_regression_layout_matches_path_major_loop(shape):
     v_ref, w_ref = _path_major_reference(bases.__getitem__, terminal, dB, dt, node)
     for got, ref in ((v, v_ref), (w, w_ref)):
         assert got.shape == (M, N + 1) + shape
-        assert got.flags["C_CONTIGUOUS"]
+        assert all(got[:, i].flags["C_CONTIGUOUS"] for i in range(N + 1))
         assert np.abs(got - ref).max() <= 1e-12
 
 
