@@ -25,8 +25,9 @@ from .adjoint import (AdjointOpts, solve_first_order_adjoint, solve_gamma,
 from .fbsde import (LinearFbsdeSpec, PicardOpts, check_lbeta_estimate,
                     solve_coupled_picard, solve_decoupling, solve_linear_fbsde)
 from .hamiltonian import MpOpts, check_maximum_principle
-from .model import (Coefficient, ProblemSpec, RealControlSet, TerminalMap,
-                    benchmark_coupled_z, benchmark_lq, constant_control)
+from .model import (BenchmarkProblem, Coefficient, ProblemSpec, RealControlSet, TerminalMap,
+                    _zero_mat, _zero_scal, _zero_tensor, _zero_vec, benchmark_coupled_z,
+                    benchmark_lq, constant_control)
 from .paths import SeedSpec, TimeGrid, mean_stderr, sample_brownian
 from .spike import SpikeSpec, run_order_experiment, simulate_variations, solve_delta
 
@@ -87,22 +88,29 @@ class AcceptanceSession:
     def lq(self):
         return benchmark_lq(x0=1.0, sigma0=0.5, T=1.0)
 
-    @cached_property
-    def lq_stack(self):
-        bench = self.lq
-        sol = solve_coupled_picard(bench.spec, bench.optimal_control, self.bundle, self.picard)
-        adj1 = solve_first_order_adjoint(bench.spec, sol, bench.optimal_control, self.adj_opts)
-        adj2 = solve_second_order_adjoint(bench.spec, sol, adj1, self.adj_opts)
-        return sol, adj1, adj2
+    def _stack(self, spec, control, bundle):
+        """The Picard solve and both adjoints of ``spec`` under ``control``."""
+        sol = solve_coupled_picard(spec, control, bundle, self.picard)
+        adj1 = solve_first_order_adjoint(spec, sol, control, self.adj_opts)
+        return sol, adj1, solve_second_order_adjoint(spec, sol, adj1, self.adj_opts)
 
-    @cached_property
-    def lq_order(self):
-        sol, adj1, adj2 = self.lq_stack
-        return run_order_experiment(self.lq.spec, self.lq.optimal_control, self.bundle,
+    def _order(self, bench, stack):
+        """The order experiment on ``bench`` (spike u = 1 at T/4) over the ladder,
+        reusing the reference ``stack``."""
+        sol, adj1, adj2 = stack
+        return run_order_experiment(bench.spec, bench.optimal_control, self.bundle,
                                     eps_ladder=self.ladder, spike_at=SPIKE_AT,
                                     spike_value=1.0, picard=self.picard,
                                     adjoint_opts=self.adj_opts,
                                     reference=sol, adjoints=(adj1, adj2))
+
+    @cached_property
+    def lq_stack(self):
+        return self._stack(self.lq.spec, self.lq.optimal_control, self.bundle)
+
+    @cached_property
+    def lq_order(self):
+        return self._order(self.lq, self.lq_stack)
 
     @cached_property
     def cz(self):
@@ -110,20 +118,11 @@ class AcceptanceSession:
 
     @cached_property
     def cz_stack(self):
-        bench = self.cz
-        sol = solve_coupled_picard(bench.spec, bench.optimal_control, self.bundle, self.picard)
-        adj1 = solve_first_order_adjoint(bench.spec, sol, bench.optimal_control, self.adj_opts)
-        adj2 = solve_second_order_adjoint(bench.spec, sol, adj1, self.adj_opts)
-        return sol, adj1, adj2
+        return self._stack(self.cz.spec, self.cz.optimal_control, self.bundle)
 
     @cached_property
     def cz_order(self):
-        sol, adj1, adj2 = self.cz_stack
-        return run_order_experiment(self.cz.spec, self.cz.optimal_control, self.bundle,
-                                    eps_ladder=self.ladder, spike_at=SPIKE_AT,
-                                    spike_value=1.0, picard=self.picard,
-                                    adjoint_opts=self.adj_opts,
-                                    reference=sol, adjoints=(adj1, adj2))
+        return self._order(self.cz, self.cz_stack)
 
     def variation_residuals(self, steps: int):
         """sup-node mean |Y1 - <p,X1>| and |Y2 - <p,X2> - <P X1,X1>/2 - yhat|
@@ -132,9 +131,7 @@ class AcceptanceSession:
         bench = benchmark_coupled_z(0.1, x0=1.0, T=1.0)
         grid = TimeGrid(1.0, steps)
         bundle = sample_brownian(grid, self.paths, SeedSpec(self.seed))
-        sol = solve_coupled_picard(bench.spec, bench.optimal_control, bundle, self.picard)
-        adj1 = solve_first_order_adjoint(bench.spec, sol, bench.optimal_control, self.adj_opts)
-        adj2 = solve_second_order_adjoint(bench.spec, sol, adj1, self.adj_opts)
+        sol, adj1, adj2 = self._stack(bench.spec, bench.optimal_control, bundle)
         spike = SpikeSpec(0.25, 0.125, 0.0)
         delta = solve_delta(bench.spec, sol, adj1, spike)
         var = simulate_variations(bench.spec, sol, adj1, adj2, spike, delta)
@@ -225,12 +222,9 @@ class AcceptanceSession:
                                           adj1, adj2, MpOpts(n_nodes=40))
         bench0 = benchmark_lq(x0=1.0, sigma0=0.0, T=1.0)
         zero = constant_control(0.0)
-        grid = self.grid
-        bundle = sample_brownian(grid, 64, SeedSpec(self.seed))
-        sol0 = solve_coupled_picard(bench0.spec, zero, bundle, self.picard)
-        adj1_0 = solve_first_order_adjoint(bench0.spec, sol0, zero, self.adj_opts)
-        adj2_0 = solve_second_order_adjoint(bench0.spec, sol0, adj1_0, self.adj_opts)
-        rep_bad = check_maximum_principle(bench0.spec, zero, sol0, adj1_0, adj2_0,
+        bundle = sample_brownian(self.grid, 64, SeedSpec(self.seed))
+        rep_bad = check_maximum_principle(bench0.spec, zero,
+                                          *self._stack(bench0.spec, zero, bundle),
                                           MpOpts(n_nodes=40))
         ok = (rep_opt.passed and rep_opt.n_pairs >= 1000
               and (not rep_bad.passed) and rep_bad.worst_gap < 0)
@@ -421,23 +415,18 @@ class AcceptanceSession:
 def _mart_test_problem(c: float):
     """Driverless-state problem with driver c*z: the weight process is the
     plain stochastic exponential exp(c B - c^2 t / 2)."""
-    zv = lambda t, x, y, z, u: np.zeros_like(x)
-    zm = lambda t, x, y, z, u: np.zeros((x.shape[0], 1, 1))
-    zs = lambda t, x, y, z, u: np.zeros(x.shape[0])
-    zt = lambda *a: np.zeros((a[1].shape[0], 1, 1, 1))
+    zv, zm, zs, zt = _zero_vec, _zero_mat, _zero_scal, _zero_tensor
     b = Coefficient(zv, zm, zv, zv, dxx=zt, dxy=zm, dxz=zm, dyy=zv, dyz=zv, dzz=zv)
     sig = Coefficient(lambda t, x, y, z, u: np.ones_like(x), zm, zv, zv,
                       dxx=zt, dxy=zm, dxz=zm, dyy=zv, dyz=zv, dzz=zv)
     g = Coefficient(lambda t, x, y, z, u: c * z, zv, zs,
                     lambda t, x, y, z, u: c * np.ones(x.shape[0]),
-                    dxx=lambda t, x, y, z, u: np.zeros((x.shape[0], 1, 1)),
-                    dxy=zv, dxz=zv, dyy=zs, dyz=zs, dzz=zs, out="scalar")
+                    dxx=zm, dxy=zv, dxz=zv, dyy=zs, dyz=zs, dzz=zs, out="scalar")
     phi = TerminalMap(lambda x: x[:, 0].copy(), lambda x: np.ones_like(x),
                       lambda x: np.zeros((x.shape[0], 1, 1)))
     spec = ProblemSpec(n=1, horizon_T=1.0, x0=np.array([0.0]), b=b, sigma=sig, g=g,
                        phi=phi, growth_L=5.0,
                        control_set=RealControlSet(np.array([[0.0]])), name="mart")
-    from .model import BenchmarkProblem
     return BenchmarkProblem(spec, constant_control(0.0), None, {}, name="mart")
 
 

@@ -125,49 +125,6 @@ def solve_first_order_adjoint(spec, sol: FbsdeSolution, control,
     )
 
 
-def _assemble_hessian(n, hxx, hxy, hxz, hyy, hyz, hzz):
-    """Pack (x, y, z) second partials into the symmetric (n+2) x (n+2) matrix."""
-    M = hyy.shape[0]
-    H = np.zeros((M, n + 2, n + 2))
-    H[:, :n, :n] = hxx
-    H[:, :n, n] = hxy
-    H[:, n, :n] = hxy
-    H[:, :n, n + 1] = hxz
-    H[:, n + 1, :n] = hxz
-    H[:, n, n] = hyy
-    H[:, n, n + 1] = hyz
-    H[:, n + 1, n] = hyz
-    H[:, n + 1, n + 1] = hzz
-    return H
-
-
-def _hessian(sec, tag, n, comp=None):
-    """D^2 over (x, y, z) of the scalar coefficient ``tag``, or of component
-    ``comp`` of a vector one."""
-    return _assemble_hessian(n, *(sec[tag + d] if comp is None else sec[tag + d][:, comp]
-                                  for d in ("xx", "xy", "xz", "yy", "yz", "zz")))
-
-
-def _weighted_hessian(sec, tag, weights, n):
-    """sum_i w_i D^2 psi^i for a vector coefficient psi (weights (M, n))."""
-    w = weights
-    return _assemble_hessian(
-        n,
-        np.einsum("mi,mijl->mjl", w, sec[tag + "xx"]),
-        np.einsum("mi,mij->mj", w, sec[tag + "xy"]),
-        np.einsum("mi,mij->mj", w, sec[tag + "xz"]),
-        _dot(w, sec[tag + "yy"]),
-        _dot(w, sec[tag + "yz"]),
-        _dot(w, sec[tag + "zz"]),
-    )
-
-
-def hamiltonian_hessian(sec, p, q, n):
-    """D^2 H = D^2 g + sum_i p_i D^2 b^i + sum_i q_i D^2 sigma^i over (x, y, z)."""
-    return (_hessian(sec, "g", n) + _weighted_hessian(sec, "b", p, n)
-            + _weighted_hessian(sec, "s", q, n))
-
-
 def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
                                opts: AdjointOpts = None) -> SecondOrderAdjoint:
     """Backward regression solve of the matrix-valued second-order adjoint, on
@@ -198,9 +155,11 @@ def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint
         S = parts["sx"] + np.einsum("mi,mj->mij", parts["sy"], p) + np.einsum("mi,mj->mij", parts["sz"], k1)
         Bm = parts["bx"] + np.einsum("mi,mj->mij", parts["by"], p) + np.einsum("mi,mj->mij", parts["bz"], k1)
         G = np.concatenate([np.broadcast_to(np.eye(n), (M, n, n)), p[:, :, None], k1[:, :, None]], axis=2)
-        D2H = hamiltonian_hessian(sec, p, q, n)
+        # D^2 H = D^2 g + sum_i p_i D^2 b^i + sum_i q_i D^2 sigma^i over (x, y, z)
+        D2H = (sec["g"] + np.einsum("mi,miab->mab", p, sec["b"])
+               + np.einsum("mi,miab->mab", q, sec["s"]))
         quad = np.einsum("mia,mab,mjb->mij", G, D2H, G)
-        pD2s = np.einsum("mia,mab,mjb->mij", G, _weighted_hessian(sec, "s", p, n), G)
+        pD2s = np.einsum("mia,mab,mjb->mij", G, np.einsum("mi,miab->mab", p, sec["s"]), G)
         mbar = 1.0 - _dot(p, parts["sz"])
         mm = float(np.abs(mbar).min())
         if mm < opts.c_min:

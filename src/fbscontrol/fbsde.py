@@ -6,7 +6,7 @@ forward-backward systems (with its L^beta estimate check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -248,7 +248,6 @@ class LinearFbsdeSpec:
     varsigma: np.ndarray
     x0: np.ndarray
     cond: np.ndarray
-    coeff_max: dict = field(default_factory=dict)
 
     def __post_init__(self):
         Mn, nn, n = self.M, self.grid.N + 1, self.n
@@ -271,7 +270,6 @@ class LinearFbsdeSpec:
             v = getattr(self, name)
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"coefficient {name} has non-finite entries")
-            self.coeff_max[name] = float(np.abs(v).max())
 
     def partials(self, i):
         """Node-i coefficients under the first-order adjoint's names: the

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._frame import _values
 from .adjoint import FirstOrderAdjoint, SecondOrderAdjoint
-from .fbsde import FbsdeSolution
+from .fbsde import FbsdeSolution, _dot
 from .model import ProblemSpec
 from .paths import mean_stderr
 from .spike import delta_at_node
@@ -60,13 +61,10 @@ def _script_H(ctx: HamiltonianContext, state, sig_ref, p, q, P, u_vals) -> np.nd
     spec = ctx.spec
     t, x, y, z, _ = state
     delta, _, _, _ = delta_at_node(spec, state, sig_ref, p, ctx.node, u_vals, c_min=ctx.c_min)
-    b_v = spec.b.value(t, x, y, z + delta, u_vals)
-    s_v = spec.sigma.value(t, x, y, z + delta, u_vals)
-    g_v = spec.g.value(t, x, y, z + delta, u_vals)
-    ds = s_v - sig_ref
+    v = _values(spec, t, x, y, z + delta, u_vals)
+    ds = v["s"] - sig_ref
     quad = 0.5 * np.einsum("mi,mij,mj->m", ds, P, ds)
-    return (np.einsum("mi,mi->m", p, b_v)
-            + np.einsum("mi,mi->m", q, s_v) + g_v + quad)
+    return _dot(p, v["b"]) + _dot(q, v["s"]) + v["g"] + quad
 
 
 def eval_script_H(ctx: HamiltonianContext, u) -> np.ndarray:

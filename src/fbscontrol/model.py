@@ -428,6 +428,11 @@ def _zero_scal(t, x, y, z, u):
     return np.zeros(x.shape[0])
 
 
+def _zero_tensor(t, x, y, z, u):
+    M, n = x.shape
+    return np.zeros((M, n, n, n))
+
+
 def benchmark_lq(x0: float = 1.0, sigma0: float = 0.5, T: float = 1.0) -> BenchmarkProblem:
     """Scalar linear-quadratic benchmark: dX = u dt + sigma0 dB, running cost
     (x^2 + u^2)/2, terminal cost x^2/2, U = R on a grid.
@@ -440,14 +445,12 @@ def benchmark_lq(x0: float = 1.0, sigma0: float = 0.5, T: float = 1.0) -> Benchm
     b = Coefficient(
         fn=lambda t, x, y, z, u: u[:, :1] * np.ones_like(x),
         dx=_zero_mat, dy=_zero_vec, dz=_zero_vec,
-        dxx=lambda *a: np.zeros((a[1].shape[0], 1, 1, 1)),
-        dxy=_zero_mat, dxz=_zero_mat, dyy=_zero_vec, dyz=_zero_vec, dzz=_zero_vec,
+        dxx=_zero_tensor, dxy=_zero_mat, dxz=_zero_mat, dyy=_zero_vec, dyz=_zero_vec, dzz=_zero_vec,
     )
     sig = Coefficient(
         fn=lambda t, x, y, z, u: sigma0 * np.ones_like(x),
         dx=_zero_mat, dy=_zero_vec, dz=_zero_vec,
-        dxx=lambda *a: np.zeros((a[1].shape[0], 1, 1, 1)),
-        dxy=_zero_mat, dxz=_zero_mat, dyy=_zero_vec, dyz=_zero_vec, dzz=_zero_vec,
+        dxx=_zero_tensor, dxy=_zero_mat, dxz=_zero_mat, dyy=_zero_vec, dyz=_zero_vec, dzz=_zero_vec,
     )
     g = Coefficient(
         fn=lambda t, x, y, z, u: 0.5 * (x[:, 0] ** 2 + u[:, 0] ** 2),
@@ -538,23 +541,20 @@ def benchmark_coupled_z(alpha: float, x0: float = 1.0, T: float = 1.0,
         dx=_zero_mat,
         dy=lambda t, x, y, z, u: -np.ones_like(x),
         dz=_zero_vec,
-        dxx=lambda *a: np.zeros((a[1].shape[0], 1, 1, 1)),
-        dxy=_zero_mat, dxz=_zero_mat, dyy=_zero_vec, dyz=_zero_vec, dzz=_zero_vec,
+        dxx=_zero_tensor, dxy=_zero_mat, dxz=_zero_mat, dyy=_zero_vec, dyz=_zero_vec, dzz=_zero_vec,
     )
     sig = Coefficient(
         fn=lambda t, x, y, z, u: alpha * z[:, None] + x + u[:, :1],
         dx=lambda t, x, y, z, u: np.ones((x.shape[0], 1, 1)),
         dy=_zero_vec,
         dz=lambda t, x, y, z, u: alpha * np.ones_like(x),
-        dxx=lambda *a: np.zeros((a[1].shape[0], 1, 1, 1)),
-        dxy=_zero_mat, dxz=_zero_mat, dyy=_zero_vec, dyz=_zero_vec, dzz=_zero_vec,
+        dxx=_zero_tensor, dxy=_zero_mat, dxz=_zero_mat, dyy=_zero_vec, dyz=_zero_vec, dzz=_zero_vec,
     )
     g = Coefficient(
         fn=lambda t, x, y, z, u: 0.5 * u[:, 0] ** 2 + x[:, 0],
         dx=lambda t, x, y, z, u: np.ones_like(x),
         dy=_zero_scal, dz=_zero_scal,
-        dxx=lambda t, x, y, z, u: np.zeros((x.shape[0], 1, 1)),
-        dxy=_zero_vec, dxz=_zero_vec, dyy=_zero_scal, dyz=_zero_scal, dzz=_zero_scal,
+        dxx=_zero_mat, dxy=_zero_vec, dxz=_zero_vec, dyy=_zero_scal, dyz=_zero_scal, dzz=_zero_scal,
         out="scalar",
     )
     phi = TerminalMap(

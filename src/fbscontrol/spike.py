@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import (AdjointOpts, FirstOrderAdjoint, SecondOrderAdjoint, YhatSolution,
-                      _hessian, solve_first_order_adjoint, solve_second_order_adjoint,
-                      solve_yhat)
+                      solve_first_order_adjoint, solve_second_order_adjoint, solve_yhat)
 from .errors import InvertibilityError, NoConvergenceError
 from .fbsde import FbsdeSolution, PicardOpts, _dot, solve_coupled_picard
 from .model import LINEAR_IN_Z, OpenLoopControl, ProblemSpec, tabulate_control
@@ -162,7 +161,7 @@ def solve_delta(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
         delta[:, i] = d
         resid[:, i] = r
         max_iters = max(max_iters, iters)
-        shifted = frame.shifted_values(i, u_vals, delta[:, i])
+        shifted = frame.values(i, u_vals, delta[:, i])
         increments[int(i)] = {k: shifted[k] - ref[k] for k in shifted}
     return DeltaProcess(ProcessPanel(delta, grid, "delta"),
                         ProcessPanel(resid, grid, "delta_residual"), increments, method,
@@ -283,10 +282,10 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
         v = np.concatenate([x1, y1[:, None], k1x[:, None]], axis=1)
         drift2 = (np.einsum("mij,mj->mi", parts["bx"], x2)
                   + parts["by"] * y2[:, None] + parts["bz"] * z2[:, None]
-                  + 0.5 * _quad_vector(sec, "b", v, n))
+                  + 0.5 * np.einsum("ma,miab,mb->mi", v, sec["b"], v))
         diff2 = (np.einsum("mij,mj->mi", parts["sx"], x2)
                  + parts["sy"] * y2[:, None] + parts["sz"] * z2[:, None]
-                 + 0.5 * _quad_vector(sec, "s", v, n))
+                 + 0.5 * np.einsum("ma,miab,mb->mi", v, sec["s"], v))
         if inc is not None:
             diff1 = diff1 + inc["s"]
             drift2 = drift2 + inc["b"]
@@ -301,14 +300,6 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
         ProcessPanel(X2, grid, "X2"), ProcessPanel(Y2, grid, "Y2"), ProcessPanel(Z2, grid, "Z2"),
         ProcessPanel(I_panel, grid, "I"), yhat, (spec, sol, adj1, delta),
     )
-
-
-def _quad_vector(sec, tag, v, n):
-    """Components <v, D^2 psi^i v> for a vector coefficient, shape (M, n)."""
-    out = np.empty((v.shape[0], n))
-    for comp in range(n):
-        out[:, comp] = np.einsum("ma,mab,mb->m", v, _hessian(sec, tag, n, comp), v)
-    return out
 
 
 def variation_residuals(var: VariationBundle, order: int):
@@ -362,13 +353,13 @@ def _residual_backward_y2(var):
     spec, sol, adj1, delta = var._inputs
     frame, q, K1 = adj1.frame, adj1.q_values, adj1.k1_values
     X1, Y1, X2 = var.X1.values, var.Y1.scalar(), var.X2.values
-    dt, n = sol.X.grid.dt, spec.n
+    dt = sol.X.grid.dt
 
     def node(i, nb, y_next, m_next, zv):
         parts = frame.first(i)
         sec = frame.second(i)
         v = np.concatenate([X1[:, i], Y1[:, i, None], _dot(K1[:, i], X1[:, i])[:, None]], axis=1)
-        forcing = 0.5 * np.einsum("ma,mab,mb->m", v, _hessian(sec, "g", n), v)
+        forcing = 0.5 * np.einsum("ma,mab,mb->m", v, sec["g"], v)
         inc = delta.increments.get(i)
         if inc is not None:
             forcing = forcing + _dot(q[:, i], inc["s"]) + inc["g"]
