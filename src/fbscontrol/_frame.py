@@ -28,6 +28,25 @@ def _values(spec, t, x, y, z, u):
     return {tag: coef.value(t, x, y, z, u) for tag, coef in _coefficients(spec)}
 
 
+def _hessian(coef, t, x, y, z, u):
+    """The Hessian of ``coef`` over (x, y, z) at (t, x, y, z, u), symmetric,
+    with x in slots 0..n-1, y in slot n and z in slot n+1: (M, n, n+2, n+2),
+    one Hessian per component, for a vector coefficient and (M, n+2, n+2)
+    for a scalar one."""
+    M, n = x.shape
+    slot = {"x": slice(0, n), "y": n, "z": n + 1}
+    lead = (M, n) if coef.out == "vector" else (M,)
+    # stored slot-major, so writing a y or z block is one contiguous copy;
+    # the six blocks and their mirrors fill every slot
+    out = np.moveaxis(np.empty((n + 2, n + 2) + lead), (0, 1), (-2, -1))
+    for d in Coefficient._SECOND:
+        a, c = slot[d[1]], slot[d[2]]
+        block = coef.second(d, t, x, y, z, u)
+        out[..., a, c] = block
+        out[..., c, a] = block
+    return out
+
+
 class RefFrame:
     def __init__(self, spec: ProblemSpec, X: np.ndarray, Y: np.ndarray,
                  Z: np.ndarray, u_panel: np.ndarray, grid):
@@ -64,23 +83,11 @@ class RefFrame:
         return out
 
     def second(self, i):
-        """Hessians over (x, y, z) at node i, symmetric, with x in slots 0..n-1,
-        y in slot n and z in slot n+1: "b" and "s" are (M, n, n+2, n+2), one
-        Hessian per component, and "g" is (M, n+2, n+2)."""
-        t, x, y, z, u = self.state(i)
-        M, n = x.shape
-        slot = {"x": slice(0, n), "y": n, "z": n + 1}
-        # stored slot-major, so writing a y or z block is one contiguous copy;
-        # the six blocks and their mirrors fill every slot
-        out = {tag: np.moveaxis(np.empty((n + 2, n + 2) + lead), (0, 1), (-2, -1))
-               for tag, lead in (("b", (M, n)), ("s", (M, n)), ("g", (M,)))}
-        for d in Coefficient._SECOND:
-            a, c = slot[d[1]], slot[d[2]]
-            for tag, coef in _coefficients(self.spec):
-                block = coef.second(d, t, x, y, z, u)
-                out[tag][..., a, c] = block
-                out[tag][..., c, a] = block
-        return out
+        """Hessians over (x, y, z) at node i, packed by :func:`_hessian`: "b"
+        and "s" are (M, n, n+2, n+2), one Hessian per component, and "g" is
+        (M, n+2, n+2)."""
+        state = self.state(i)
+        return {tag: _hessian(coef, *state) for tag, coef in _coefficients(self.spec)}
 
     def shifted_sigma_first(self, i, u_new, dz):
         """First partials of sigma at (t, X, Y, Z + dz, u_new)."""

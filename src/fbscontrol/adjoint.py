@@ -18,7 +18,11 @@ from .regression import _backward_regression, _fixed_point
 
 @dataclass
 class AdjointOpts:
-    """Per-node guards; the basis degree is the Picard solve's."""
+    """Per-node guards; the basis degree is the Picard solve's. A node's
+    fixed point (p where sigma reads z, and P) stops once its contraction
+    bound puts it within fp_tol * (1 + sup|.|) of the node's limit, and
+    raises after fp_max steps; the margin |1 - <p, sigma_z>| must stay at
+    least c_min."""
 
     c_min: float = 0.1
     fp_tol: float = 1e-12
@@ -101,9 +105,10 @@ def solve_first_order_adjoint(spec, sol: FbsdeSolution, control,
                               opts: AdjointOpts = None) -> FirstOrderAdjoint:
     """Backward regression solve of the (p, q) pair with terminal phi_x(X_T) on
     the Picard solve's node bases: one explicit step per node where sigma has
-    no z-dependence, otherwise a fixed point jointly with K1 (tolerance
-    opts.fp_tol, cap opts.fp_max). One more pass over the nodes then forms
-    H_y, H_z, a_y and a_z from (p, q) and the node partials."""
+    no z-dependence, otherwise a fixed point jointly with K1 that stops within
+    opts.fp_tol * (1 + sup|p|) of the node's limit (cap opts.fp_max). One more
+    pass over the nodes then forms H_y, H_z, a_y and a_z from (p, q) and the
+    node partials."""
     if opts is None:
         opts = AdjointOpts()
     frame = RefFrame.along(spec, sol, control)

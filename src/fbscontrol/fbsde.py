@@ -15,8 +15,8 @@ from .errors import InvertibilityError, NoConvergenceError
 from .model import ControlLaw, ProblemSpec
 from .paths import (SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, TimeGrid,
                     mean_stderr, moment_norm, node_major)
-from .regression import (NodeBasis, NodeFit, _backward_regression, _fixed_point, _regress,
-                         _require_finite_paths)
+from .regression import (NodeBasis, NodeFit, _backward_regression, _contraction, _fixed_point,
+                         _regress, _require_finite_paths)
 
 
 # Picard stops once its bound on the change still to come is at most SE_SHARE
@@ -27,6 +27,11 @@ FLOOR = 1e-6
 
 @dataclass
 class PicardOpts:
+    """Picard sweep cap and basis degree, and the inner y fixed point of each
+    backward node where the driver reads y: it stops once its contraction
+    bound puts y within inner_tol * (1 + sup|y|) of the node's fixed point,
+    and raises after inner_max regressions."""
+
     max_sweeps: int = 50
     degree: int = 2          # total degree of the polynomial regression basis
     inner_tol: float = 1e-10
@@ -183,14 +188,7 @@ def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
                 _panel_change(Z.values, prev[2]),
             )
             trace.append(res)
-            ratios = [b / a for a, b in zip(trace[-3:-1], trace[-2:])]
-            rho = max(ratios) if ratios else None
-            if res == 0.0:
-                bound = 0.0
-            elif rho is not None and rho < 1.0:
-                bound = res * rho / (1.0 - rho)
-            else:
-                bound = np.inf
+            rho, bound = _contraction(trace)
             if bound <= max(SE_SHARE * mean_stderr(rep["y0_samples"])[1], FLOOR):
                 return FbsdeSolution(X, Y, Z, control, bundle, trace, sweep,
                                      rep["y0_samples"], closures, rep["bases"], rho, bound)
@@ -309,22 +307,13 @@ def _k1_formula(parts, p, q, c_min, where):
     return k1, mbar, mm
 
 
-def _p_driver(parts, p, q, k1):
-    """Generator of the first-order adjoint backward equation."""
-    return (parts["gx"] + parts["gy"][:, None] * p + parts["gz"][:, None] * k1
-            + np.einsum("mji,mj->mi", parts["bx"], p)
-            + _dot(p, parts["by"])[:, None] * p
-            + _dot(p, parts["bz"])[:, None] * k1
-            + np.einsum("mji,mj->mi", parts["sx"], q)
-            + _dot(q, parts["sy"])[:, None] * p
-            + _dot(q, parts["sz"])[:, None] * k1)
-
-
 def _solve_first_order(basis_at, terminal, dB, dt, parts_at, c_min, fp_tol, fp_max):
     """Backward regression solve of the first-order adjoint (p, q, K1), with
     the partials bx ... gz at node i from ``parts_at(i)``: p = E_i[p_{i+1}] +
     G(p, q, K1(p, q)) dt by one explicit step where sigma_z vanishes at the
-    node, otherwise by a fixed point. Returns (p, q, K1, smallest margin
+    node, otherwise by a fixed point whose distance from its limit is at most
+    fp_tol * (1 + sup|p|). The terms of G that read q alone are formed once
+    per node, before the fixed point. Returns (p, q, K1, smallest margin
     |1 - <p, sigma_z>|, most iterations at a node)."""
     N = dB.shape[1]
     K1 = node_major((dB.shape[0], N + 1) + np.shape(terminal)[1:])
@@ -334,11 +323,18 @@ def _solve_first_order(basis_at, terminal, dB, dt, parts_at, c_min, fp_tol, fp_m
         nonlocal margin, max_iters
         parts = parts_at(i)
         where, mm = f"first-order adjoint node {i}", np.inf
+        # m + G dt = c0 + [(cy + <p, by>) p + (cz + <p, bz>) K1 + bx' p] dt: the
+        # terms that read q alone are in c0, cy and cz
+        c0 = m + (parts["gx"] + np.einsum("mji,mj->mi", parts["sx"], q)) * dt
+        cy = parts["gy"] + _dot(q, parts["sy"])
+        cz = parts["gz"] + _dot(q, parts["sz"])
 
         def step(p):
             nonlocal mm
             k1, _, mm = _k1_formula(parts, p, q, c_min, where)
-            return m + _p_driver(parts, p, q, k1) * dt
+            return c0 + ((cy + _dot(p, parts["by"]))[:, None] * p
+                         + (cz + _dot(p, parts["bz"]))[:, None] * k1
+                         + np.einsum("mji,mj->mi", parts["bx"], p)) * dt
 
         if float(np.abs(parts["sz"]).max()) == 0.0:
             p, iters = step(m), 1
@@ -361,7 +357,12 @@ def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
     """Solve the (p, q) backward pair, which is the first-order adjoint of the
     linear system (nonlinear in p through K1), and then the scalar (phi, nu)
     pair on the same node bases, whose affine per-node equation is solved
-    exactly so the map from forcings to (phi, nu) stays linear."""
+    exactly so the map from forcings to (phi, nu) stays linear.
+
+    Where c2 is nonzero, each node's p comes from a fixed point that stops
+    within fp_tol * (1 + sup|p|) of that node's limit (at most fp_max steps);
+    along the backward recursion these node distances add up. (phi, nu) take
+    p as given, so superposition holds to rounding at any fp_tol."""
     dB, dt = bundle.dB, bundle.grid.dt
     bases = [None] * bundle.grid.N
 
@@ -389,9 +390,10 @@ def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
 
 def solve_linear_fbsde(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
                        dec: DecouplingData):
-    """Simulate the decoupled forward equation and recover (Y, Z) from the
-    affine relations Y = <p, X> + phi and Z = <K1, X> + W, where W collects the
-    phi/forcing part of the martingale integrand.
+    """Simulate the decoupled forward equation, forming at each node
+    Y_i = <p_i, X_i> + phi_i and Z_i = <K1_i, X_i> + W_i, where W_i =
+    (<p_i, b2_i> phi_i + <p_i, L2_i> + nu_i) / (1 - <p_i, c2_i>) collects the
+    phi/forcing part of the martingale integrand, and stepping X with them.
 
     Everything downstream of the decoupling data is affine in
     (L1, L2, L3, varsigma, x0), so superposition holds to rounding under
@@ -403,29 +405,24 @@ def solve_linear_fbsde(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
     M, N, n = lspec.M, grid.N, lspec.n
     dt = grid.dt
 
-    mbar = 1.0 - np.einsum("mti,mti->mt", dec.p, lspec.c2)
-    W = (np.einsum("mti,mti->mt", dec.p, lspec.b2) * dec.phi
-         + np.einsum("mti,mti->mt", dec.p, lspec.L2) + dec.nu) / mbar
-
     X = node_major((M, N + 1, n))
+    Y, Z = node_major((M, N + 1)), node_major((M, N + 1))
     X[:, 0] = lspec.x0
-    for i in range(N):
-        x = X[:, i]
-        px = _dot(dec.p[:, i], x)
-        kx = _dot(dec.K1[:, i], x)
-        drift = (np.einsum("mij,mj->mi", lspec.a1[:, i], x)
-                 + lspec.b1[:, i] * px[:, None] + lspec.c1[:, i] * kx[:, None]
-                 + lspec.b1[:, i] * dec.phi[:, i, None] + lspec.L1[:, i]
-                 + lspec.c1[:, i] * W[:, i, None])
-        diff = (np.einsum("mij,mj->mi", lspec.a2[:, i], x)
-                + lspec.b2[:, i] * px[:, None] + lspec.c2[:, i] * kx[:, None]
-                + lspec.b2[:, i] * dec.phi[:, i, None] + lspec.L2[:, i]
-                + lspec.c2[:, i] * W[:, i, None])
+    for i in range(N + 1):
+        x, p = X[:, i], dec.p[:, i]
+        w = (_dot(p, lspec.b2[:, i]) * dec.phi[:, i] + _dot(p, lspec.L2[:, i])
+             + dec.nu[:, i]) / (1.0 - _dot(p, lspec.c2[:, i]))
+        Y[:, i] = y = _dot(p, x) + dec.phi[:, i]
+        Z[:, i] = z = _dot(dec.K1[:, i], x) + w
+        if i == N:
+            break
+        drift = (np.einsum("mij,mj->mi", lspec.a1[:, i], x) + lspec.b1[:, i] * y[:, None]
+                 + lspec.c1[:, i] * z[:, None] + lspec.L1[:, i])
+        diff = (np.einsum("mij,mj->mi", lspec.a2[:, i], x) + lspec.b2[:, i] * y[:, None]
+                + lspec.c2[:, i] * z[:, None] + lspec.L2[:, i])
         X[:, i + 1] = x + drift * dt + diff * dB[:, i, None]
         _require_finite_paths(X[:, i + 1], "linear X", i + 1)
 
-    Y = np.einsum("mti,mti->mt", dec.p, X) + dec.phi
-    Z = np.einsum("mti,mti->mt", dec.K1, X) + W
     return (ProcessPanel(X, grid, "X_lin"), ProcessPanel(Y, grid, "Y_lin"),
             ProcessPanel(Z, grid, "Z_lin"))
 

@@ -206,10 +206,17 @@ def moment_norm(panel: ProcessPanel, spec: MomentSpec) -> tuple[float, float]:
     Returns (estimate, standard error). INT2 uses a left Riemann sum over the
     first N nodes, matching the forward schemes' left-endpoint convention.
     """
-    norms = panel.norms()
-    if spec.kind == SUP:
-        samples = norms.max(axis=1) ** spec.beta
-    else:
-        sq = norms[:, :-1] ** 2
-        samples = (sq.sum(axis=1) * panel.grid.dt) ** (spec.beta / 2.0)
-    return mean_stderr(samples)
+    return _norm_moments(panel.norms(), (spec,), panel.grid.dt)[0]
+
+
+def _norm_moments(norms, specs, dt):
+    """moment_norm for each of ``specs`` from one panel's (M, N+1) ``norms``,
+    so that one norms() call serves several moment specs."""
+    out = []
+    for spec in specs:
+        if spec.kind == SUP:
+            samples = norms.max(axis=1) ** spec.beta
+        else:
+            samples = ((norms[:, :-1] ** 2).sum(axis=1) * dt) ** (spec.beta / 2.0)
+        out.append(mean_stderr(samples))
+    return out

@@ -205,15 +205,36 @@ def _backward_regression(basis_at, terminal, dB, dt, node, what):
     return v, w, w_coef
 
 
+def _contraction(changes):
+    """(rho, bound) after the successive ``changes`` of an iteration: rho is the
+    larger of the last two ratios of consecutive changes (None for one change),
+    and the change still to come after the last change c is at most bound =
+    c rho / (1 - rho); 0 when c is 0, inf while rho is None or at least 1."""
+    ratios = [b / a for a, b in zip(changes[-3:-1], changes[-2:])]
+    rho = max(ratios) if ratios else None
+    if changes[-1] == 0.0:
+        return rho, 0.0
+    if rho is not None and rho < 1.0:
+        return rho, changes[-1] * rho / (1.0 - rho)
+    return rho, np.inf
+
+
 def _fixed_point(step, start, tol, cap, what, node):
-    """Iterate x <- step(x) from ``start`` until the sup-norm step is at most
-    tol * (1 + sup|x|); returns (x, iterations). After ``cap`` steps raises
+    """Iterate x <- step(x) from ``start``; returns (x, iterations).
+
+    After step k, with sup-norm change c_k and floor f_k = tol * (1 + sup|x_k|),
+    it stops when c_k <= f_k, or from step 2 on when the contraction bound
+    c_k rho / (1 - rho) of :func:`_contraction` on the change still to come is
+    at most f_k. So ``tol`` bounds the distance of the returned x from the
+    fixed point, relative to 1 + sup|x|, not the last step. After ``cap`` steps
+    (a growing or non-contracting sequence never stops earlier) it raises
     NoConvergenceError with the last step size and the node."""
-    x, change = start, np.inf
+    x, changes = start, []
     for it in range(1, cap + 1):
         new = step(x)
-        change = float(np.max(np.abs(new - x)))
+        changes.append(float(np.max(np.abs(new - x))))
         x = new
-        if change <= tol * (1.0 + np.max(np.abs(new))):
+        floor = tol * (1.0 + np.max(np.abs(new)))
+        if changes[-1] <= floor or _contraction(changes)[1] <= floor:
             return x, it
-    raise NoConvergenceError(what, change, detail=f"node {node}")
+    raise NoConvergenceError(what, changes[-1] if changes else np.inf, detail=f"node {node}")

@@ -10,13 +10,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frame import _hessian
 from .adjoint import (AdjointOpts, FirstOrderAdjoint, SecondOrderAdjoint, YhatSolution,
                       solve_first_order_adjoint, solve_second_order_adjoint, solve_yhat)
 from .errors import InvertibilityError, NoConvergenceError
 from .fbsde import FbsdeSolution, PicardOpts, _dot, solve_coupled_picard
 from .model import LINEAR_IN_Z, OpenLoopControl, ProblemSpec, tabulate_control
-from .paths import (SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, mean_stderr,
-                    moment_norm, node_major)
+from .paths import (SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, _norm_moments,
+                    mean_stderr, node_major)
 from .regression import NodeBasis, _backward_regression
 
 CLOSED_FORM_SZ0 = "CLOSED_FORM_SZ0"
@@ -357,9 +358,8 @@ def _residual_backward_y2(var):
 
     def node(i, nb, y_next, m_next, zv):
         parts = frame.first(i)
-        sec = frame.second(i)
         v = np.concatenate([X1[:, i], Y1[:, i, None], _dot(K1[:, i], X1[:, i])[:, None]], axis=1)
-        forcing = 0.5 * np.einsum("ma,mab,mb->m", v, sec["g"], v)
+        forcing = 0.5 * np.einsum("ma,mab,mb->m", v, _hessian(spec.g, *frame.state(i)), v)
         inc = delta.increments.get(i)
         if inc is not None:
             forcing = forcing + _dot(q[:, i], inc["s"]) + inc["g"]
@@ -529,16 +529,18 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
         adj2 = solve_second_order_adjoint(spec, sol, adj1, adjoint_opts)
     frozen = tabulate_control(control, sol.X.values, grid)
 
-    norm_specs = []
+    # norm_specs maps each panel to its (norm name, moment) pairs, one per beta,
+    # so that each panel's norms are computed once per rung
+    norm_specs, norms = {}, {}
     for beta in betas:
         b = float(beta)
         for nm, kind in (("xi1", SUP), ("eta1", SUP), ("zeta1", INT2),
                          ("X1", SUP), ("Y1", SUP), ("Z1", INT2),
                          ("xi2", SUP), ("eta2", SUP), ("zeta2", INT2),
                          ("xi3", SUP), ("eta3", SUP), ("zeta3", INT2)):
-            norm_specs.append((f"{nm}_b{b:g}", nm, MomentSpec(b, kind)))
-
-    norms = {name: {"beta": ms.beta, "values": [], "stderrs": []} for name, _, ms in norm_specs}
+            name = f"{nm}_b{b:g}"
+            norm_specs.setdefault(nm, []).append((name, MomentSpec(b, kind)))
+            norms[name] = {"beta": b, "values": [], "stderrs": []}
     jdiff, y2_0, yhat_pairs, defect = [], [], [], []
     flags = {}
 
@@ -551,9 +553,9 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
             sol_eps = solve_coupled_picard(spec, u_eps, bundle, picard)
         except (NoConvergenceError, InvertibilityError) as exc:
             flags[j] = f"solve failed: {exc}"
-            for name, _, _ in norm_specs:
-                norms[name]["values"].append(float("nan"))
-                norms[name]["stderrs"].append(float("nan"))
+            for rec in norms.values():
+                rec["values"].append(float("nan"))
+                rec["stderrs"].append(float("nan"))
             jdiff.append((float("nan"), float("nan")))
             y2_0.append((float("nan"), float("nan")))
             yhat_pairs.append((float("nan"),) * 4)
@@ -566,10 +568,11 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
             "xi2": diffs.xi2, "eta2": diffs.eta2, "zeta2": diffs.zeta2,
             "xi3": diffs.xi3, "eta3": diffs.eta3, "zeta3": diffs.zeta3,
         }
-        for name, nm, ms in norm_specs:
-            val, se = moment_norm(panels[nm], ms)
-            norms[name]["values"].append(val)
-            norms[name]["stderrs"].append(se)
+        for nm, specs in norm_specs.items():
+            moments = _norm_moments(panels[nm].norms(), [ms for _, ms in specs], grid.dt)
+            for (name, _), (val, se) in zip(specs, moments):
+                norms[name]["values"].append(val)
+                norms[name]["stderrs"].append(se)
         jd, jd_se = mean_stderr(sol_eps.y0_samples - sol.y0_samples)
         y2v, y2se = mean_stderr(var.y2_0_samples)
         jdiff.append((jd, jd_se))

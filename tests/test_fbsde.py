@@ -489,33 +489,86 @@ def test_linear_margin_guard():
         solve_decoupling(s, bundle)
 
 
-def test_linear_two_dimensional_state():
+def two_dim_spec(grid, M, bundle, l1, l2, l3, vs, x0, adapted=False):
+    """An n = 2 linear spec with constant forcings; ``adapted`` makes a1, b2,
+    c1 and c2 (M, N+1, ...) panels that move with the Brownian level."""
+    NN = grid.N + 1
+    a1, b2 = 0.1 * np.eye(2), np.array([0.05, 0.1])
+    c1, c2 = np.array([0.0, 0.02]), np.array([0.1, 0.05])
+    if adapted:
+        wave = np.sin(bundle.levels())[:, :, None]
+        a1 = a1 + 0.05 * wave[..., None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        b2, c1, c2 = b2 * (1.0 + 0.2 * wave), c1 + 0.01 * wave, c2 * (1.0 + 0.3 * wave)
+    return LinearFbsdeSpec(
+        grid=grid, M=M, n=2,
+        a1=a1, a2=np.zeros((2, 2)), a3=np.array([0.05, 0.0]),
+        b1=np.array([0.1, 0.0]), b2=b2, b3=0.1,
+        c1=c1, c2=c2, c3=0.02,
+        L1=np.broadcast_to(l1, (M, NN, 2)), L2=np.broadcast_to(l2, (M, NN, 2)),
+        L3=np.broadcast_to(l3, (M, NN)), kappa=np.array([0.3, 0.1]),
+        varsigma=np.broadcast_to(vs, (M,)), x0=np.asarray(x0), cond=bundle.levels()[:, :, None])
+
+
+TWO_DIM_DATA = {"A": (0.2, 0.1, 0.05, 0.3, [1.0, 0.5]),
+                "B": (-0.1, 0.15, 0.1, 0.1, [0.2, -0.3]),
+                "AB": (0.1, 0.25, 0.15, 0.4, [1.2, 0.2])}
+
+
+def superposition_gap(outs):
+    return max(float(np.abs(ab.values - a.values - b.values).max())
+               for a, b, ab in zip(outs["A"], outs["B"], outs["AB"]))
+
+
+def relation_gaps(s, dec, X, Y, Z):
+    """Gaps of the returned Y and Z from <p, X> + phi and <K1, X> + W, with W
+    recomputed from the whole panels."""
+    def dot(a, b):
+        return np.einsum("mti,mti->mt", a, b)
+
+    W = (dot(dec.p, s.b2) * dec.phi + dot(dec.p, s.L2) + dec.nu) / (1.0 - dot(dec.p, s.c2))
+    return (float(np.abs(Y.scalar() - dot(dec.p, X.values) - dec.phi).max()),
+            float(np.abs(Z.scalar() - dot(dec.K1, X.values) - W).max()))
+
+
+def check_two_dim(adapted):
+    """Y and Z are formed node by node inside the forward loop: they equal the
+    affine relations recomputed from the panels, and superposition holds."""
     grid = fc.TimeGrid(1.0, 32)
     M = 400
     bundle = fc.sample_brownian(grid, M, fc.SeedSpec(14))
-    cond = bundle.levels()[:, :, None]
-    NN = grid.N + 1
-
-    def mk(l1, l2, l3, vs, x0):
-        return LinearFbsdeSpec(
-            grid=grid, M=M, n=2,
-            a1=0.1 * np.eye(2), a2=np.zeros((2, 2)), a3=np.array([0.05, 0.0]),
-            b1=np.array([0.1, 0.0]), b2=np.array([0.05, 0.1]), b3=0.1,
-            c1=np.array([0.0, 0.02]), c2=np.array([0.1, 0.05]), c3=0.02,
-            L1=np.broadcast_to(l1, (M, NN, 2)), L2=np.broadcast_to(l2, (M, NN, 2)),
-            L3=np.broadcast_to(l3, (M, NN)), kappa=np.array([0.3, 0.1]),
-            varsigma=np.broadcast_to(vs, (M,)), x0=np.asarray(x0), cond=cond)
-
     outs = {}
-    data = {"A": (0.2, 0.1, 0.05, 0.3, [1.0, 0.5]),
-            "B": (-0.1, 0.15, 0.1, 0.1, [0.2, -0.3]),
-            "AB": (0.1, 0.25, 0.15, 0.4, [1.2, 0.2])}
-    for k, args in data.items():
-        s = mk(*args)
-        outs[k] = solve_linear_fbsde(s, bundle, solve_decoupling(s, bundle))
-    for j in range(3):
-        gap = np.abs(outs["AB"][j].values - outs["A"][j].values - outs["B"][j].values).max()
-        assert gap <= 1e-12
+    for k, args in TWO_DIM_DATA.items():
+        s = two_dim_spec(grid, M, bundle, *args, adapted=adapted)
+        dec = solve_decoupling(s, bundle)
+        outs[k] = X, Y, Z = solve_linear_fbsde(s, bundle, dec)
+        assert max(relation_gaps(s, dec, X, Y, Z)) <= 1e-13
+    assert superposition_gap(outs) <= 1e-12
+
+
+def test_linear_two_dimensional_state():
+    check_two_dim(adapted=False)
+
+
+def test_linear_two_dimensional_adapted_coefficients():
+    check_two_dim(adapted=True)
+
+
+def test_decoupling_default_tolerance_bounds_distance_to_limit():
+    # fp_tol bounds the distance of each node's p from that node's fixed
+    # point, relative to 1 + sup|p|: at node N-1, where no later node's
+    # distance feeds in, the default is that close to a much tighter solve.
+    # Along the backward recursion the node distances add up, so node 0 is
+    # only within N times as much.
+    grid = fc.TimeGrid(1.0, 64)
+    M = 1000
+    bundle = fc.sample_brownian(grid, M, fc.SeedSpec(15))
+    s = linear_spec(grid, M, bundle)
+    p = solve_decoupling(s, bundle).p
+    p_tight = solve_decoupling(s, bundle, fp_tol=1e-15).p
+    floor = 1e-12 * (1.0 + np.abs(p_tight).max())
+    gap = np.abs(p - p_tight).max(axis=(0, 2))
+    assert gap[grid.N - 1] <= floor
+    assert gap.max() <= grid.N * floor
 
 
 def test_linear_rejects_nonfinite_coefficients():

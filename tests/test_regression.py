@@ -3,8 +3,9 @@ import pytest
 
 from scipy.linalg import cho_factor, cho_solve
 
-from fbscontrol.errors import NonFiniteError
-from fbscontrol.regression import NodeBasis, NodeFit, _backward_regression, monomial_exponents
+from fbscontrol.errors import NoConvergenceError, NonFiniteError
+from fbscontrol.regression import (NodeBasis, NodeFit, _backward_regression, _fixed_point,
+                                   monomial_exponents)
 
 
 def test_monomial_count():
@@ -183,3 +184,61 @@ def test_backward_regression_names_first_nonfinite_regressand():
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as err:
         _backward_regression(lambda i: nb, np.zeros(M), dB, dt, node, "v")
     assert (err.value.label, err.value.node, err.value.path) == ("v", 3, 40)
+
+
+def _affine_steps(a, c, tol, cap=2000):
+    """Run _fixed_point on x -> a x + c from 0 and return (iterations, the
+    successive changes and iterates it saw)."""
+    seen = []
+
+    def step(x):
+        new = a * x + c
+        seen.append((float(abs(new - x)), float(abs(new))))
+        return new
+
+    _, iters = _fixed_point(step, 0.0, tol, cap, "affine map", 0)
+    return iters, seen
+
+
+def _plain_steps(a, c, tol):
+    """Steps the plain change test c_k <= tol (1 + |x_k|) takes on the same map."""
+    x, k = 0.0, 0
+    while True:
+        new, k = a * x + c, k + 1
+        if abs(new - x) <= tol * (1.0 + abs(new)):
+            return k
+        x = new
+
+
+def test_fixed_point_stops_at_first_step_with_bound_under_floor():
+    # x -> 0.1 x + 1: changes 0.1^(k-1), so the bound 0.1^(k-1) / 9 is under
+    # the floor 1e-12 (1 + 1.11) one step before the change itself is
+    iters, seen = _affine_steps(0.1, 1.0, 1e-12)
+    changes = [ch for ch, _ in seen]
+    floors = [1e-12 * (1.0 + x) for _, x in seen]
+    expected = None
+    for k in range(2, len(changes) + 1):
+        rho = max(changes[j] / changes[j - 1] for j in range(max(1, k - 2), k))
+        if changes[k - 1] <= floors[k - 1] or changes[k - 1] * rho / (1.0 - rho) <= floors[k - 1]:
+            expected = k
+            break
+    assert iters == expected == len(seen) == 12
+    assert _plain_steps(0.1, 1.0, 1e-12) == 13
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.1, 0.5, 0.9, 0.95, -0.3, -0.8])
+def test_fixed_point_never_takes_more_steps_than_change_test(a):
+    for tol in (1e-6, 1e-10, 1e-12):
+        iters, _ = _affine_steps(a, 1.0, tol)
+        assert iters <= _plain_steps(a, 1.0, tol)
+
+
+def test_fixed_point_zero_change_stops_at_step_one():
+    # coupled_z's p = 1 is a fixed point of its node map from the first step
+    x, iters = _fixed_point(lambda x: x, np.ones(5), 1e-12, 20, "identity", 0)
+    assert iters == 1 and np.array_equal(x, np.ones(5))
+
+
+def test_fixed_point_expanding_map_names_node():
+    with pytest.raises(NoConvergenceError, match=r"affine map.*node 7"):
+        _fixed_point(lambda x: 1.5 * x + 1.0, 0.0, 1e-12, 20, "affine map", 7)
