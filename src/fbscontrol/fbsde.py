@@ -201,8 +201,12 @@ def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
 
 
 def _panel_change(new, old):
-    d = new.reshape(new.shape[0], new.shape[1], -1) - old.reshape(new.shape[0], new.shape[1], -1)
-    return float(np.sqrt((d * d).sum(axis=2).mean(axis=0)).max())
+    """Sup over nodes of the root mean square path change between two
+    (M, N+1, ...) panels, read as contiguous node rows of their node-major
+    memory."""
+    rows = new.shape[1]
+    d = np.moveaxis(new, 1, 0).reshape(rows, -1) - np.moveaxis(old, 1, 0).reshape(rows, -1)
+    return float(np.sqrt(np.einsum("ij,ij->i", d, d) / new.shape[0]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +268,9 @@ class LinearFbsdeSpec:
         self.kappa = np.broadcast_to(np.asarray(self.kappa, dtype=float), (Mn, n))
         self.varsigma = np.broadcast_to(np.asarray(self.varsigma, dtype=float), (Mn,))
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        for name in ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3"):
-            v = getattr(self, name)
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"coefficient {name} has non-finite entries")
+        for name in ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3", "cond"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"field {name} has non-finite entries")
 
     def partials(self, i):
         """Node-i coefficients under the first-order adjoint's names: the

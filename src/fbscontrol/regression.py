@@ -2,9 +2,11 @@
 
 A :class:`NodeBasis` is built from the conditioning state at one time node
 (polynomial features up to a total degree, standardized per state dimension)
-and can fit any number of regressands against the same factorized normal
-equations. Fits are linear maps of the regressand, which is what makes
-superposition tests on linear equations hold to rounding.
+and keeps the inverse of its Gram matrix, formed once from a Cholesky factor
+(with a small ridge when the Gram matrix is singular), so any number of
+regressands are fitted by one matrix product each. Fits are linear maps of
+the regressand, which is what makes superposition tests on linear equations
+hold to rounding. Only numpy is used.
 
 Every backward equation of the package is solved by the one regression step
 of :func:`_backward_regression`, with the node equation supplied by the caller
@@ -18,8 +20,6 @@ from functools import cache
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NoConvergenceError, NonFiniteError
 from .paths import node_major
@@ -78,11 +78,15 @@ class BasisTransform:
 
 
 class NodeBasis:
-    """Design matrix + factorized normal equations for one node.
+    """Design matrix and inverse Gram matrix for one node.
 
-    Zero-variance state dimensions collapse to the intercept (their feature
-    columns are dropped), so a degenerate node (e.g. the deterministic initial
-    state) regresses to the plain cross-path mean.
+    The inverse is R^-1 R^-T from the Cholesky factor G = R^T R, so it is
+    exactly symmetric. A Gram matrix that is not positive definite is ridged
+    by RIDGE_LAMBDA (``ridge_used``); if that fails too, it raises
+    ``numpy.linalg.LinAlgError``. Zero-variance state dimensions collapse to
+    the intercept (their feature columns are dropped), so a degenerate node
+    (e.g. the deterministic initial state) regresses to the plain cross-path
+    mean. A non-finite state raises ValueError.
     """
 
     def __init__(self, state: np.ndarray, degree: int = 2):
@@ -95,6 +99,9 @@ class NodeBasis:
         self.state_lo = state_t.min(axis=1)
         self.state_hi = state_t.max(axis=1)
         mean = state_t.mean(axis=1)
+        # a NaN or inf in a state column makes its mean non-finite
+        if not np.isfinite(mean).all():
+            raise ValueError("conditioning state has non-finite entries")
         scale = state_t.std(axis=1)
         scale = np.where(scale < _DEGENERATE_TOL, 1.0, scale)
         exponents = monomial_exponents(state_t.shape[0], degree)
@@ -105,13 +112,17 @@ class NodeBasis:
         self.phi = self.transform._kept(rows)
         gram = self.phi.T @ self.phi
         _require_finite(gram)
-        self._factor, info = dpotrf(gram, lower=0, clean=0)
-        self.ridge_used = info > 0
-        if self.ridge_used:
-            ridged = gram + RIDGE_LAMBDA * np.eye(gram.shape[0])
-            self._factor, info = dpotrf(ridged, lower=0, clean=0)
-            if info > 0:
-                raise LinAlgError("ridged Gram matrix is not positive definite")
+        self.ridge_used = False
+        try:
+            lower = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            self.ridge_used = True
+            try:
+                lower = np.linalg.cholesky(gram + RIDGE_LAMBDA * np.eye(gram.shape[0]))
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError("ridged Gram matrix is not positive definite") from None
+        r_inv_t = np.linalg.inv(lower)  # (R^-1)^T for R = lower^T
+        self._gram_inv = r_inv_t.T @ r_inv_t
 
     @property
     def n_features(self) -> int:
@@ -121,7 +132,7 @@ class NodeBasis:
         """Least-squares coefficients; target (M,) or (M, D) -> (K,) or (K, D)."""
         rhs = self.phi.T @ target
         _require_finite(rhs)
-        return dpotrs(self._factor, rhs, lower=0)[0]
+        return self._gram_inv @ rhs
 
     def fit(self, target: np.ndarray) -> np.ndarray:
         """Fitted values at the conditioning points (the regression estimate of E[target | state])."""

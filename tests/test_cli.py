@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,15 @@ from fbscontrol.errors import ConfigError
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy.linalg alone was most of a cold start
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import fbscontrol, fbscontrol.cli; "
+             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    src = str(Path(fc.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_roundtrip():

@@ -4,9 +4,10 @@ import pytest
 import fbscontrol as fc
 import fbscontrol.spike
 from fbscontrol.errors import InvertibilityError, NoConvergenceError, NonFiniteError
-from fbscontrol.fbsde import (LinearFbsdeSpec, simulate_forward, solve_bsde_regression,
-                              solve_decoupling, solve_linear_fbsde)
+from fbscontrol.fbsde import (LinearFbsdeSpec, _panel_change, simulate_forward,
+                              solve_bsde_regression, solve_decoupling, solve_linear_fbsde)
 from fbscontrol.model import Coefficient, TerminalMap, ProblemSpec, RealControlSet
+from fbscontrol.paths import node_major
 from fbscontrol.regression import NodeBasis
 
 from conftest import make_zero_problem
@@ -154,6 +155,20 @@ def test_picard_coupled_trace(cz_small):
     assert err.value.trace == trace[:-1]
     # strictly decreasing after the first recorded sweep
     assert all(b < a for a, b in zip(trace[1:], trace[2:]))
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2)])
+def test_panel_change_is_sup_node_rms(shape):
+    rng = np.random.Generator(np.random.Philox(key=[5, 5]))
+    M, nodes = 40, 9
+    new, old = (node_major((M, nodes) + shape) for _ in range(2))
+    new[...] = rng.normal(size=new.shape)
+    old[...] = rng.normal(size=old.shape)
+    d = (new - old).reshape(M, nodes, -1)
+    rms = np.sqrt(np.mean(np.sum(d * d, axis=2), axis=0))
+    assert _panel_change(new, old) == pytest.approx(rms.max(), rel=1e-14)
+    # a path-major panel gives the same value
+    assert _panel_change(np.ascontiguousarray(new), old) == _panel_change(new, old)
 
 
 def test_picard_single_path_stops_at_floor():
@@ -569,6 +584,17 @@ def test_decoupling_default_tolerance_bounds_distance_to_limit():
     gap = np.abs(p - p_tight).max(axis=(0, 2))
     assert gap[grid.N - 1] <= floor
     assert gap.max() <= grid.N * floor
+
+
+def test_linear_rejects_nonfinite_cond():
+    # a NaN in the conditioning panel used to reach NodeBasis, which dropped
+    # the column: solve_decoupling returned finite p and phi without a word
+    grid = fc.TimeGrid(1.0, 8)
+    bundle = fc.sample_brownian(grid, 50, fc.SeedSpec(3))
+    cond = bundle.levels()[:, :, None].copy()
+    cond[7, 3, 0] = np.nan
+    with pytest.raises(ValueError, match="cond"):
+        LinearFbsdeSpec(**{**vars(linear_spec(grid, 50, bundle)), "cond": cond})
 
 
 def test_linear_rejects_nonfinite_coefficients():

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from scipy.linalg import cho_factor, cho_solve
-
 from fbscontrol.errors import NoConvergenceError, NonFiniteError
 from fbscontrol.regression import (NodeBasis, NodeFit, _backward_regression, _fixed_point,
                                    monomial_exponents)
@@ -108,15 +106,49 @@ def test_vector_targets_share_factorization():
         assert np.allclose(joint[:, j], nb.fit(targets[:, j]))
 
 
-def test_coefficients_match_scipy_cholesky_bitwise():
+def _correlated_state(rng, M, spread):
+    """Three state dimensions, the second a noisy copy of the first: the 10
+    degree-2 features are ill-conditioned as ``spread`` shrinks."""
+    x = rng.normal(size=M)
+    return np.column_stack([x, x + spread * rng.normal(size=M), rng.normal(size=M)])
+
+
+@pytest.mark.parametrize("kind", ["well-conditioned", "degree-2, 10 features"])
+def test_coefficients_match_least_squares(kind):
+    # the normal equations lose accuracy as cond(G) eps; lstsq on phi itself,
+    # whose condition number is only sqrt(cond(G)), is the independent reference
     rng = np.random.Generator(np.random.Philox(key=[8, 1]))
-    state = rng.normal(size=(400, 2))
+    if kind == "well-conditioned":
+        state = rng.normal(size=(400, 2))
+    else:
+        state = _correlated_state(rng, 400, 0.3)
     nb = NodeBasis(state, degree=2)
-    factor = cho_factor(nb.phi.T @ nb.phi)
+    cond = np.linalg.cond(nb.phi.T @ nb.phi)
+    if kind != "well-conditioned":
+        assert nb.n_features == 10 and cond >= 1e3
     for target in (rng.normal(size=400), rng.normal(size=(400, 3))):
-        assert np.array_equal(nb.coefficients(target), cho_solve(factor, nb.phi.T @ target))
+        ref = np.linalg.lstsq(nb.phi, target, rcond=None)[0]
+        got = nb.coefficients(target)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 10 * cond * np.finfo(float).eps * (1 + np.abs(ref).max())
     with pytest.raises(ValueError):
         nb.coefficients(np.full(400, np.nan))
+
+
+def test_inverse_gram_is_symmetric():
+    rng = np.random.Generator(np.random.Philox(key=[8, 2]))
+    nb = NodeBasis(_correlated_state(rng, 300, 0.3), degree=2)
+    assert np.array_equal(nb._gram_inv, nb._gram_inv.T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_state_rejected(bad):
+    # a non-finite state column used to be dropped as if it were constant
+    rng = np.random.Generator(np.random.Philox(key=[8, 4]))
+    state = rng.normal(size=(50, 2))
+    state[7, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        NodeBasis(state, degree=2)
 
 
 def test_ridge_fallback_on_identical_columns():
