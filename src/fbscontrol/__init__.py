@@ -15,8 +15,8 @@ from .paths import (INT2, SUP, BrownianBundle, MomentSpec, ProcessPanel, SeedSpe
 from .model import (GENERAL, LINEAR_IN_Z, BenchmarkProblem, BoxControlSet, Coefficient,
                     ControlLaw, FeedbackControl, FiniteControlSet, OpenLoopControl,
                     ProblemSpec, RealControlSet, TerminalMap, benchmark_coupled_z,
-                    benchmark_lq, constant_control, lq_value_rk4, riccati_rk4,
-                    tabulate_control, validate_spec)
+                    benchmark_lq, constant_control, lq_value_rk4, tabulate_control,
+                    validate_spec)
 from .fbsde import (DecouplingData, EstimateReport, FbsdeSolution,
                     LinearFbsdeSpec, PicardOpts, check_lbeta_estimate,
                     simulate_forward, solve_bsde_regression, solve_coupled_picard,

@@ -92,7 +92,7 @@ class AcceptanceSession:
         """The Picard solve and both adjoints of ``spec`` under ``control``."""
         sol = solve_coupled_picard(spec, control, bundle, self.picard)
         adj1 = solve_first_order_adjoint(spec, sol, control, self.adj_opts)
-        return sol, adj1, solve_second_order_adjoint(spec, sol, adj1, self.adj_opts)
+        return sol, adj1, solve_second_order_adjoint(spec, sol, adj1)
 
     def _order(self, bench, stack):
         """The order experiment on ``bench`` (spike u = 1 at T/4) over the ladder,

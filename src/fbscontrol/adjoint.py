@@ -13,20 +13,19 @@ from ._frame import RefFrame
 from .errors import InvertibilityError
 from .fbsde import FbsdeSolution, _dot, _solve_first_order
 from .paths import ProcessPanel, mean_stderr, node_major
-from .regression import _backward_regression, _fixed_point
+from .regression import FP_MAX, FP_TOL, _backward_regression, _fixed_point
 
 
 @dataclass
 class AdjointOpts:
-    """Per-node guards; the basis degree is the Picard solve's. A node's
-    fixed point (p where sigma reads z, and P) stops once its contraction
-    bound puts it within fp_tol * (1 + sup|.|) of the node's limit, and
-    raises after fp_max steps; the margin |1 - <p, sigma_z>| must stay at
-    least c_min."""
+    """The floor c_min on the margin |1 - <p, sigma_z>| along a reference.
+    It is set here once, for the first-order adjoint, which keeps it as
+    ``FirstOrderAdjoint.c_min``; the second-order adjoint, Delta and the
+    maximum-principle check of that reference read it from there. The basis
+    degree is the Picard solve's, and the per-node fixed points stop within
+    regression.FP_TOL of their limits."""
 
     c_min: float = 0.1
-    fp_tol: float = 1e-12
-    fp_max: int = 20
 
 
 @dataclass
@@ -38,7 +37,9 @@ class FirstOrderAdjoint:
         a_z = H_z + g_z <p, sigma_z> / (1 - <p, sigma_z>)
 
     that drive the exponential weight process and the auxiliary backward
-    equation; all four are (M, N+1) panels computed once, here."""
+    equation; all four are (M, N+1) panels computed once, here. ``c_min`` is
+    the margin floor of this reference, which every later solve along it
+    checks against."""
 
     p: ProcessPanel
     q: ProcessPanel
@@ -106,16 +107,16 @@ def solve_first_order_adjoint(spec, sol: FbsdeSolution, control,
     """Backward regression solve of the (p, q) pair with terminal phi_x(X_T) on
     the Picard solve's node bases: one explicit step per node where sigma has
     no z-dependence, otherwise a fixed point jointly with K1 that stops within
-    opts.fp_tol * (1 + sup|p|) of the node's limit (cap opts.fp_max). One more
-    pass over the nodes then forms H_y, H_z, a_y and a_z from (p, q) and the
-    node partials."""
+    FP_TOL * (1 + sup|p|) of the node's limit (at most FP_MAX steps), with
+    every margin checked against ``opts.c_min``. One more pass over the nodes
+    then forms H_y, H_z, a_y and a_z from (p, q) and the node partials."""
     if opts is None:
         opts = AdjointOpts()
     frame = RefFrame.along(spec, sol, control)
     grid = sol.X.grid
     p, q, K1, margin, max_iters = _solve_first_order(
         sol.bases.__getitem__, spec.phi.dx(frame.X[:, grid.N]), sol.bundle.dB, grid.dt,
-        frame.first, opts.c_min, opts.fp_tol, opts.fp_max)
+        frame.first, opts.c_min)
     Hy, Hz, a_y, a_z = (node_major((frame.M, grid.N + 1)) for _ in range(4))
     for i in range(grid.N + 1):
         parts = frame.first(i)
@@ -130,17 +131,17 @@ def solve_first_order_adjoint(spec, sol: FbsdeSolution, control,
     )
 
 
-def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
-                               opts: AdjointOpts = None) -> SecondOrderAdjoint:
+def solve_second_order_adjoint(spec, sol: FbsdeSolution,
+                               adj1: FirstOrderAdjoint) -> SecondOrderAdjoint:
     """Backward regression solve of the matrix-valued second-order adjoint, on
     the Picard solve's node bases.
 
     The generator combines the linearized drift/diffusion maps contracted with
     (I, p, K1), the full Hamiltonian Hessian, and the K2 closure; P is
-    symmetrized after every update.
+    symmetrized after every update, and each node's P is a fixed point that
+    stops within FP_TOL * (1 + sup|P|) of its limit (at most FP_MAX steps).
+    The K2 closure's margin is checked against ``adj1.c_min``.
     """
-    if opts is None:
-        opts = AdjointOpts()
     frame = adj1.frame
     grid = sol.X.grid
     M, N, n = frame.M, grid.N, spec.n
@@ -167,8 +168,8 @@ def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint
         pD2s = np.einsum("mia,mab,mjb->mij", G, np.einsum("mi,miab->mab", p, sec["s"]), G)
         mbar = 1.0 - _dot(p, parts["sz"])
         mm = float(np.abs(mbar).min())
-        if mm < opts.c_min:
-            raise InvertibilityError(mm, opts.c_min, where=f"second-order adjoint node {i}")
+        if mm < adj1.c_min:
+            raise InvertibilityError(mm, adj1.c_min, where=f"second-order adjoint node {i}")
         syp = np.einsum("mi,mj->mij", parts["sy"], p)
         return parts, p, S, Bm, quad, pD2s, mbar, syp
 
@@ -202,8 +203,7 @@ def solve_second_order_adjoint(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint
             P_new = m + drv * dt
             return 0.5 * (P_new + P_new.transpose(0, 2, 1))
 
-        Pv, iters = _fixed_point(step, m, opts.fp_tol, opts.fp_max,
-                                 "second-order adjoint fixed point", i)
+        Pv, iters = _fixed_point(step, m, FP_TOL, FP_MAX, "second-order adjoint fixed point", i)
         max_iters = max(max_iters, iters)
         K2[:, i] = k2
         return Pv

@@ -4,8 +4,9 @@ Subcommands: ``solve`` (coupled solve + adjoints, summary JSON), ``spike``
 (order-of-epsilon experiment, JSON + CSV tables), ``mp-check`` (pointwise
 Hamiltonian-minimization verdict), ``bench`` (the full acceptance suite).
 Runs are pure functions of (config, seed): rerunning with the same inputs
-produces byte-identical output files. Exit codes: 0 success/PASS, 1 config
-error, 2 no convergence, 3 invertibility guard, 4 check failed.
+produces byte-identical output files. Each subcommand accepts only the flags
+it reads. Exit codes: 0 success/PASS, 1 config or usage error, 2 no
+convergence, 3 invertibility guard, 4 check failed.
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ class RunConfig:
         for b in self.experiment.beta:
             if not 2.0 <= float(b) <= 8.0:
                 raise ConfigError("experiment.beta", f"entries must lie in [2, 8], got {b}")
+        if self.experiment.mp_nodes < 1:
+            raise ConfigError("experiment.mp_nodes",
+                              f"must be >= 1, got {self.experiment.mp_nodes}")
 
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
@@ -177,13 +181,13 @@ def _solve_stack(cfg: RunConfig):
     picard, adj_opts = _opts(cfg)
     sol = solve_coupled_picard(bench.spec, control, bundle, picard)
     adj1 = solve_first_order_adjoint(bench.spec, sol, control, adj_opts)
-    adj2 = solve_second_order_adjoint(bench.spec, sol, adj1, adj_opts)
-    return bench, control, bundle, sol, adj1, adj2, picard, adj_opts
+    adj2 = solve_second_order_adjoint(bench.spec, sol, adj1)
+    return bench, control, bundle, sol, adj1, adj2
 
 
 def cmd_solve(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
-    bench, control, bundle, sol, adj1, adj2, _, _ = _solve_stack(cfg)
+    bench, control, bundle, sol, adj1, adj2 = _solve_stack(cfg)
     gamma = solve_gamma(bench.spec, sol, adj1)
     summary = {
         "problem": cfg.problem.name,
@@ -239,10 +243,9 @@ def cmd_spike(cfg: RunConfig) -> int:
 
 def cmd_mp_check(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
-    bench, control, bundle, sol, adj1, adj2, _, _ = _solve_stack(cfg)
+    bench, control, bundle, sol, adj1, adj2 = _solve_stack(cfg)
     report = check_maximum_principle(bench.spec, control, sol, adj1, adj2,
-                                     MpOpts(n_nodes=cfg.experiment.mp_nodes,
-                                            c_min=cfg.solver.c_min))
+                                     MpOpts(n_nodes=cfg.experiment.mp_nodes))
     payload = report.to_dict()
     payload["version"] = __version__
     _write_json(out / "mp_report.json", payload)
@@ -268,28 +271,55 @@ def _parse_csv_floats(text):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+# each flag once: the config field it sets ("section.key" or a top-level key)
+# and its argparse keywords
+_FLAGS = {
+    "--seed": ("seed", {"type": int}),
+    "--out": ("out_dir", {"type": str}),
+    "--problem": ("problem.name", {"type": str, "choices": ("lq", "coupled_z")}),
+    "--paths": ("solver.paths", {"type": int}),
+    "--steps": ("solver.steps", {"type": int}),
+    "--control": ("experiment.control", {"type": str}),
+    "--epsilon-ladder": ("experiment.epsilon_ladder",
+                         {"type": _parse_csv_floats, "help": "comma-separated widths"}),
+    "--beta": ("experiment.beta", {"type": _parse_csv_floats, "help": "comma-separated exponents"}),
+    "--spike-at": ("experiment.spike_at", {"type": float}),
+    "--spike-value": ("experiment.spike_value", {"type": float}),
+    "--dump-panels": ("dump_panels", {"action": "store_true"}),
+    "--dump-hamiltonian": ("dump_hamiltonian", {"action": "store_true"}),
+}
+_PROBLEM_FLAGS = ("--seed", "--out", "--problem", "--paths", "--steps", "--control")
+# each subcommand's handler and the flags it reads, besides --config
+_COMMANDS = {
+    "solve": (cmd_solve, _PROBLEM_FLAGS + ("--dump-panels",)),
+    "spike": (cmd_spike, _PROBLEM_FLAGS + ("--epsilon-ladder", "--beta", "--spike-at",
+                                           "--spike-value")),
+    "mp-check": (cmd_mp_check, _PROBLEM_FLAGS + ("--dump-hamiltonian",)),
+    "bench": (cmd_bench, ("--seed", "--out", "--paths", "--steps")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on a config error: argparse's own exit
+    code 2 is this tool's no-convergence code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fbscontrol",
         description="Coupled forward-backward stochastic control experiments",
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("solve", "spike", "mp-check", "bench"):
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--problem", type=str, default=None, choices=("lq", "coupled_z"))
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--control", type=str, default=None)
-        p.add_argument("--epsilon-ladder", type=str, default=None, help="comma-separated widths")
-        p.add_argument("--beta", type=str, default=None, help="comma-separated exponents")
-        p.add_argument("--spike-at", type=float, default=None)
-        p.add_argument("--spike-value", type=float, default=None)
-        p.add_argument("--dump-panels", action="store_true")
-        p.add_argument("--dump-hamiltonian", action="store_true")
+        for flag in flags:
+            p.add_argument(flag, default=None, **_FLAGS[flag][1])
     return ap
 
 
@@ -304,30 +334,11 @@ def config_from_args(args) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}")
     cfg = RunConfig.from_dict(raw)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.problem is not None:
-        cfg.problem.name = args.problem
-    if args.paths is not None:
-        cfg.solver.paths = args.paths
-    if args.steps is not None:
-        cfg.solver.steps = args.steps
-    if args.control is not None:
-        cfg.experiment.control = args.control
-    if args.epsilon_ladder is not None:
-        cfg.experiment.epsilon_ladder = _parse_csv_floats(args.epsilon_ladder)
-    if args.beta is not None:
-        cfg.experiment.beta = _parse_csv_floats(args.beta)
-    if args.spike_at is not None:
-        cfg.experiment.spike_at = args.spike_at
-    if args.spike_value is not None:
-        cfg.experiment.spike_value = args.spike_value
-    if args.dump_panels:
-        cfg.dump_panels = True
-    if args.dump_hamiltonian:
-        cfg.dump_hamiltonian = True
+    for flag in _COMMANDS[args.command][1]:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            *section, key = _FLAGS[flag][0].split(".")
+            setattr(getattr(cfg, section[0]) if section else cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -336,9 +347,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        handler = {"solve": cmd_solve, "spike": cmd_spike,
-                   "mp-check": cmd_mp_check, "bench": cmd_bench}[args.command]
-        return handler(cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

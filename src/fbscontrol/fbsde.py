@@ -15,8 +15,8 @@ from .errors import InvertibilityError, NoConvergenceError
 from .model import ControlLaw, ProblemSpec
 from .paths import (SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, TimeGrid,
                     mean_stderr, moment_norm, node_major)
-from .regression import (NodeBasis, NodeFit, _backward_regression, _contraction, _fixed_point,
-                         _regress, _require_finite_paths)
+from .regression import (FP_MAX, FP_TOL, NodeBasis, NodeFit, _backward_regression,
+                         _contraction, _fixed_point, _regress, _require_finite_paths)
 
 
 # Picard stops once its bound on the change still to come is at most SE_SHARE
@@ -100,20 +100,22 @@ def _ridge_nodes(bases):
 
 
 def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPanel,
-                          bundle: BrownianBundle, degree: int = 2,
-                          inner_tol: float = 1e-10, inner_max: int = 10):
-    """Backward regression solve of the Y/Z pair along a given forward panel.
+                          bundle: BrownianBundle, opts: PicardOpts = None):
+    """Backward regression solve of the Y/Z pair along a given forward panel,
+    on bases of ``opts.degree``.
 
     Y_N is pinned to phi(X_N) node-exactly. At each earlier node, Z comes from
     projecting the centered martingale increment (Y_{i+1} - E_i[Y_{i+1}]) dB / dt
     onto the basis, and Y from regressing Y_{i+1} + g(t_i, X_i, ., Z_i, u_i) dt,
-    iterating the y-argument to a fixed point (at most ``inner_max`` regressions)
-    when the driver reads it; a regressand equal bit for bit to the previous
-    one reuses its fit.
+    iterating the y-argument to a fixed point (at most ``opts.inner_max``
+    regressions) when the driver reads it; a regressand equal bit for bit to
+    the previous one reuses its fit.
 
     Returns (Y panel, Z panel, per-node (Y, Z) NodeFits, report dict); the
     report carries the node bases, which later solves along the same panel reuse.
     """
+    if opts is None:
+        opts = PicardOpts()
     grid, dB = bundle.grid, bundle.dB
     N, dt, nodes = grid.N, grid.dt, grid.nodes
 
@@ -124,7 +126,7 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
     bases, y_coefs = [None] * N, [None] * N
 
     def basis_at(i):
-        bases[i] = NodeBasis(X.values[:, i], degree)
+        bases[i] = NodeBasis(X.values[:, i], opts.degree)
         return bases[i]
 
     def node(i, nb, y_next, m, z):
@@ -143,7 +145,7 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
                 y_fit = nb.phi @ y_coefs[i]
             return y_fit
 
-        y, _ = _fixed_point(step, step(y_next), inner_tol, inner_max - 1,
+        y, _ = _fixed_point(step, step(y_next), opts.inner_tol, opts.inner_max - 1,
                             "picard inner y fixed point", i)
         y_path += spec.g.value(nodes[i], x, y, z, u) * dt
         return y
@@ -178,9 +180,7 @@ def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
     trace = []
     for sweep in range(1, opts.max_sweeps + 1):
         X = simulate_forward(spec, control, closures, bundle)
-        Y, Z, closures, rep = solve_bsde_regression(
-            spec, control, X, bundle, opts.degree, opts.inner_tol, opts.inner_max
-        )
+        Y, Z, closures, rep = solve_bsde_regression(spec, control, X, bundle, opts)
         if prev is not None:
             res = max(
                 _panel_change(X.values, prev[0]),
@@ -310,12 +310,13 @@ def _k1_formula(parts, p, q, c_min, where):
     return k1, mbar, mm
 
 
-def _solve_first_order(basis_at, terminal, dB, dt, parts_at, c_min, fp_tol, fp_max):
+def _solve_first_order(basis_at, terminal, dB, dt, parts_at, c_min):
     """Backward regression solve of the first-order adjoint (p, q, K1), with
     the partials bx ... gz at node i from ``parts_at(i)``: p = E_i[p_{i+1}] +
     G(p, q, K1(p, q)) dt by one explicit step where sigma_z vanishes at the
     node, otherwise by a fixed point whose distance from its limit is at most
-    fp_tol * (1 + sup|p|). The terms of G that read q alone are formed once
+    FP_TOL * (1 + sup|p|) (at most FP_MAX steps); every margin is checked
+    against ``c_min``. The terms of G that read q alone are formed once
     per node, before the fixed point. Returns (p, q, K1, smallest margin
     |1 - <p, sigma_z>|, most iterations at a node)."""
     N = dB.shape[1]
@@ -342,7 +343,7 @@ def _solve_first_order(basis_at, terminal, dB, dt, parts_at, c_min, fp_tol, fp_m
         if float(np.abs(parts["sz"]).max()) == 0.0:
             p, iters = step(m), 1
         else:
-            p, iters = _fixed_point(step, m, fp_tol, fp_max, "first-order adjoint fixed point", i)
+            p, iters = _fixed_point(step, m, FP_TOL, FP_MAX, "first-order adjoint fixed point", i)
         K1[:, i], _, mm_final = _k1_formula(parts, p, q, c_min, where)
         margin = min(margin, mm, mm_final)
         max_iters = max(max_iters, iters)
@@ -355,17 +356,19 @@ def _solve_first_order(basis_at, terminal, dB, dt, parts_at, c_min, fp_tol, fp_m
 
 
 def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
-                     degree: int = 2, c_min: float = 0.1,
-                     fp_tol: float = 1e-12, fp_max: int = 20) -> DecouplingData:
+                     degree: int = 2, c_min: float = 0.1) -> DecouplingData:
     """Solve the (p, q) backward pair, which is the first-order adjoint of the
     linear system (nonlinear in p through K1), and then the scalar (phi, nu)
-    pair on the same node bases, whose affine per-node equation is solved
-    exactly so the map from forcings to (phi, nu) stays linear.
+    pair on the same node bases (of total degree ``degree``), whose affine
+    per-node equation is solved exactly so the map from forcings to (phi, nu)
+    stays linear.
 
+    ``c_min`` is the floor on the margin |1 - <p, c2>|: it is checked here at
+    every node and kept on the result, where ``solve_linear_fbsde`` reads it.
     Where c2 is nonzero, each node's p comes from a fixed point that stops
-    within fp_tol * (1 + sup|p|) of that node's limit (at most fp_max steps);
-    along the backward recursion these node distances add up. (phi, nu) take
-    p as given, so superposition holds to rounding at any fp_tol."""
+    within regression.FP_TOL * (1 + sup|p|) of that node's limit (at most
+    FP_MAX steps); along the backward recursion these node distances add up.
+    (phi, nu) take p as given, so superposition holds to rounding."""
     dB, dt = bundle.dB, bundle.grid.dt
     bases = [None] * bundle.grid.N
 
@@ -374,7 +377,7 @@ def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
         return bases[i]
 
     p, q, K1, margin, _ = _solve_first_order(basis_at, lspec.kappa, dB, dt, lspec.partials,
-                                             c_min, fp_tol, fp_max)
+                                             c_min)
 
     # scalar pair: per-node equation phi = m + (c0 + c1 phi) dt solved exactly
     def phi_node(i, nb, phi_next, m, nv):

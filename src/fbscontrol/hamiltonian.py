@@ -24,11 +24,15 @@ from .model import ProblemSpec
 from .paths import mean_stderr
 from .spike import delta_at_node
 
+# bisection rounds around the worst grid point of a continuous control set
+REFINE_ROUNDS = 3
+
 
 @dataclass
 class HamiltonianContext:
     """Everything needed to evaluate the generalized Hamiltonian at one node,
-    vectorized over paths."""
+    vectorized over paths; ``c_min`` is the reference's margin floor, which
+    Delta checks against."""
 
     spec: ProblemSpec
     frame: object
@@ -36,7 +40,7 @@ class HamiltonianContext:
     p: np.ndarray      # (M, n)
     q: np.ndarray
     P: np.ndarray      # (M, n, n)
-    c_min: float = 0.1
+    c_min: float
 
     def _as_controls(self, u) -> np.ndarray:
         M, k = self.p.shape[0], self.frame.U.shape[2]
@@ -49,9 +53,10 @@ class HamiltonianContext:
 
 
 def build_context(spec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
-                  adj2: SecondOrderAdjoint, node: int, c_min: float = 0.1) -> HamiltonianContext:
+                  adj2: SecondOrderAdjoint, node: int) -> HamiltonianContext:
+    """The node's context, with the margin floor ``adj1.c_min``."""
     return HamiltonianContext(spec, adj1.frame, node, adj1.p_values[:, node],
-                              adj1.q_values[:, node], adj2.P_values[:, node], c_min)
+                              adj1.q_values[:, node], adj2.P_values[:, node], adj1.c_min)
 
 
 def _script_H(ctx: HamiltonianContext, state, sig_ref, p, q, P, u_vals) -> np.ndarray:
@@ -60,7 +65,7 @@ def _script_H(ctx: HamiltonianContext, state, sig_ref, p, q, P, u_vals) -> np.nd
     and controls u_vals."""
     spec = ctx.spec
     t, x, y, z, _ = state
-    delta, _, _, _ = delta_at_node(spec, state, sig_ref, p, ctx.node, u_vals, c_min=ctx.c_min)
+    delta, _, _, _ = delta_at_node(spec, state, sig_ref, p, ctx.node, u_vals, ctx.c_min)
     v = _values(spec, t, x, y, z + delta, u_vals)
     ds = v["s"] - sig_ref
     quad = 0.5 * np.einsum("mi,mij,mj->m", ds, P, ds)
@@ -141,10 +146,12 @@ class MpReport:
 
 @dataclass
 class MpOpts:
+    """How many nodes to sample (at least 1) and the z-score a mean gap must
+    not fall below. The margin floor is the reference's (``adj1.c_min``), and
+    continuous control sets get REFINE_ROUNDS bisection rounds."""
+
     n_nodes: int = 32
     z_threshold: float = -3.0
-    c_min: float = 0.1
-    refine_rounds: int = 3
 
 
 def _z_score(mean, se):
@@ -161,10 +168,13 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
     """Sample nodes uniformly in time and candidate controls over the control
     set's grid; PASS when the minimum z-score of the cross-path mean gap stays
     above the threshold (default -3). Continuous control sets get bisection
-    refinement around the worst grid point.
+    refinement around the worst grid point. Raises ValueError when
+    ``opts.n_nodes`` is below 1: a verdict needs at least one node.
     """
     if opts is None:
         opts = MpOpts()
+    if opts.n_nodes < 1:
+        raise ValueError(f"n_nodes must be at least 1, got {opts.n_nodes}")
     grid = sol.X.grid
     node_idx = np.unique(np.linspace(0, grid.N - 1, opts.n_nodes).astype(int))
     u_grid = spec.control_set.mp_grid()
@@ -193,14 +203,14 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
         return best_u
 
     for i in node_idx:
-        ctx = build_context(spec, sol, adj1, adj2, int(i), opts.c_min)
+        ctx = build_context(spec, sol, adj1, adj2, int(i))
         h_ref = eval_script_H(ctx, ctx.frame.state(ctx.node)[4])
         best_u = scan(i, ctx, h_ref, u_grid)
-        if spec.control_set.is_continuous and opts.refine_rounds > 0 and len(u_grid) > 1:
+        if spec.control_set.is_continuous and len(u_grid) > 1:
             refined = True
             span = (u_grid.max(axis=0) - u_grid.min(axis=0)) / max(len(u_grid) - 1, 1)
             center = best_u
-            for _ in range(opts.refine_rounds):
+            for _ in range(REFINE_ROUNDS):
                 span = span / 2.0
                 local = np.array([center - span, center + span])
                 better = scan(i, ctx, h_ref, local)

@@ -473,8 +473,6 @@ def benchmark_lq(x0: float = 1.0, sigma0: float = 0.5, T: float = 1.0) -> Benchm
         name="lq",
     )
     analytic = {
-        "riccati_P": lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        "p_from_state": lambda x_panel: x_panel,
         "adjoint_P": lambda t: 1.0 + (T - np.asarray(t, dtype=float)),
         "value": 0.5 * x0 ** 2 + 0.5 * sigma0 ** 2 * T,
     }
@@ -497,25 +495,6 @@ def lq_value_rk4(x0: float, sigma0: float, T: float, steps: int = 400) -> float:
         P -= h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
         r -= h / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
     return 0.5 * P * x0 ** 2 + r
-
-
-def riccati_rk4(T: float = 1.0, steps: int = 400) -> Callable:
-    """RK4 solution of P' = P^2 - 1, P(T) = 1, returned as an interpolant."""
-    h = T / steps
-    ts = [T]
-    Ps = [1.0]
-    P = 1.0
-    for _ in range(steps):
-        f = lambda q: q * q - 1.0
-        k1 = f(P)
-        k2 = f(P - 0.5 * h * k1)
-        k3 = f(P - 0.5 * h * k2)
-        k4 = f(P - h * k3)
-        P -= h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ts.append(ts[-1] - h)
-        Ps.append(P)
-    ts, Ps = np.array(ts[::-1]), np.array(Ps[::-1])
-    return lambda t: np.interp(t, ts, Ps)
 
 
 def benchmark_coupled_z(alpha: float, x0: float = 1.0, T: float = 1.0,

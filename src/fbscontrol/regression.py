@@ -26,6 +26,12 @@ from .paths import node_major
 
 RIDGE_LAMBDA = 1e-8
 _DEGENERATE_TOL = 1e-12
+# tolerance and step cap of the per-node algebraic fixed points (the first-order
+# adjoint's p, which the linear decoupling shares, and the second-order P): each
+# stops within FP_TOL * (1 + sup|.|) of its node's limit; along a backward
+# recursion these node distances add up
+FP_TOL = 1e-12
+FP_MAX = 20
 
 
 @cache

@@ -23,6 +23,11 @@ from .regression import NodeBasis, _backward_regression
 CLOSED_FORM_SZ0 = "CLOSED_FORM_SZ0"
 CLOSED_FORM_LINEAR = "CLOSED_FORM_LINEAR"
 FIXED_POINT = "FIXED_POINT"
+# Delta's fixed-point route stops when a step changes Delta by at most
+# DELTA_TOL * (1 + sup|Delta|), and raises after DELTA_CAP steps (half damped
+# fixed point, half Newton)
+DELTA_TOL = 1e-12
+DELTA_CAP = 50
 
 
 @dataclass
@@ -81,15 +86,17 @@ class DeltaProcess:
 
 
 def delta_at_node(spec: ProblemSpec, state, sig_ref: np.ndarray, p_node: np.ndarray, i: int,
-                  u_vals: np.ndarray, c_min: float = 0.1, tol: float = 1e-12,
-                  cap: int = 50, force_fixed_point: bool = False):
+                  u_vals: np.ndarray, c_min: float, force_fixed_point: bool = False):
     """Solve Delta = <p, sigma(t, X, Y, Z + Delta, u) - sigma(t, X, Y, Z, u_ref)>
     at node i, vectorized over the rows of the node state (t, X, Y, Z, u_ref),
     with ``sig_ref`` = sigma(t, X, Y, Z, u_ref). Returns (delta, residual,
     method, iters).
 
     Route: z-free sigma -> one-step closed form; declared linear-in-z -> exact
-    inverse; otherwise damped fixed point with a Newton fallback on stall.
+    inverse; otherwise damped fixed point with a Newton fallback on stall
+    (tolerance DELTA_TOL, at most DELTA_CAP steps). The margins of the last two
+    routes are checked against ``c_min``, the floor of the reference's
+    first-order adjoint (``FirstOrderAdjoint.c_min``).
     """
     t, x, y, z, u_ref = state
     M = x.shape[0]
@@ -118,13 +125,13 @@ def delta_at_node(spec: ProblemSpec, state, sig_ref: np.ndarray, p_node: np.ndar
     delta = np.zeros(M)
     theta = 0.8
     iters = 0
-    for iters in range(1, cap // 2 + 1):
+    for iters in range(1, DELTA_CAP // 2 + 1):
         rhs = _dot(p_node, spec.sigma.value(t, x, y, z + delta, u_vals) - sig_ref)
         new = (1.0 - theta) * delta + theta * rhs
-        if np.max(np.abs(new - delta)) <= tol * (1.0 + np.max(np.abs(new))):
+        if np.max(np.abs(new - delta)) <= DELTA_TOL * (1.0 + np.max(np.abs(new))):
             return new, residual_of(new), FIXED_POINT, iters
         delta = new
-    for j in range(cap - cap // 2):
+    for j in range(DELTA_CAP - DELTA_CAP // 2):
         iters += 1
         res = residual_of(delta)
         slope = 1.0 - _dot(p_node, spec.sigma.first("dz", t, x, y, z + delta, u_vals))
@@ -132,7 +139,7 @@ def delta_at_node(spec: ProblemSpec, state, sig_ref: np.ndarray, p_node: np.ndar
         if mm < c_min:
             raise InvertibilityError(mm, c_min, where=f"delta Newton node {i}")
         new = delta - res / slope
-        if np.max(np.abs(new - delta)) <= tol * (1.0 + np.max(np.abs(new))):
+        if np.max(np.abs(new - delta)) <= DELTA_TOL * (1.0 + np.max(np.abs(new))):
             return new, residual_of(new), FIXED_POINT, iters
         delta = new
     worst = int(np.argmax(np.abs(residual_of(delta))))
@@ -141,10 +148,12 @@ def delta_at_node(spec: ProblemSpec, state, sig_ref: np.ndarray, p_node: np.ndar
 
 
 def solve_delta(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
-                spike: SpikeSpec, c_min: float = 0.1, tol: float = 1e-12,
-                cap: int = 50, force_fixed_point: bool = False) -> DeltaProcess:
+                spike: SpikeSpec, force_fixed_point: bool = False) -> DeltaProcess:
     """Delta panel on the spike window (exactly zero off it), with the spike
-    increments of the coefficients at each window node."""
+    increments of the coefficients at each window node. Margins are checked
+    against ``adj1.c_min``, the floor the reference's adjoints were built
+    with; ``force_fixed_point`` takes the iterative route even where a closed
+    form applies."""
     frame = adj1.frame
     grid = sol.X.grid
     M = frame.M
@@ -157,8 +166,7 @@ def solve_delta(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
         u_vals = spike.perturb_values(M, i)
         ref = frame.values(i)
         d, r, method, iters = delta_at_node(spec, frame.state(i), ref["s"], adj1.p_values[:, i],
-                                            i, u_vals, c_min=c_min, tol=tol, cap=cap,
-                                            force_fixed_point=force_fixed_point)
+                                            i, u_vals, adj1.c_min, force_fixed_point)
         delta[:, i] = d
         resid[:, i] = r
         max_iters = max(max_iters, iters)
@@ -510,6 +518,8 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
     Precomputed reference solutions/adjoints may be passed to share work across
     experiments; epsilon entries whose solves fail (no convergence or an
     invertibility guard) are flagged and excluded from the slope fits.
+    ``adjoint_opts`` builds the adjoints only when ``adjoints`` is not given;
+    either way each rung's Delta checks its margins against ``adj1.c_min``.
     """
     grid = bundle.grid
     if eps_ladder is None:
@@ -526,7 +536,7 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
         adj1, adj2 = adjoints
     else:
         adj1 = solve_first_order_adjoint(spec, sol, control, adjoint_opts)
-        adj2 = solve_second_order_adjoint(spec, sol, adj1, adjoint_opts)
+        adj2 = solve_second_order_adjoint(spec, sol, adj1)
     frozen = tabulate_control(control, sol.X.values, grid)
 
     # norm_specs maps each panel to its (norm name, moment) pairs, one per beta,
@@ -547,7 +557,7 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
     for j, eps in enumerate(eps_ladder):
         spike = SpikeSpec(spike_at, eps, spike_value)
         try:
-            delta = solve_delta(spec, sol, adj1, spike, c_min=adjoint_opts.c_min)
+            delta = solve_delta(spec, sol, adj1, spike)
             var = simulate_variations(spec, sol, adj1, adj2, spike, delta)
             u_eps = spike.spiked_control(frozen, grid)
             sol_eps = solve_coupled_picard(spec, u_eps, bundle, picard)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fbscontrol as fc
+from fbscontrol import fbsde
 from fbscontrol._frame import RefFrame
 from fbscontrol.acceptance import _mart_test_problem
 
@@ -70,18 +73,37 @@ def test_fixed_point_engages_for_z_dependent_sigma():
     assert adj1.max_inner_iterations > 1
 
 
-def test_first_order_fixed_point_error_reports_step():
+def test_first_order_fixed_point_error_reports_step(monkeypatch):
     # a tolerance no step can meet: the error names the node and the last
     # nonzero step size
     bench = fc.benchmark_coupled_z(0.1)
     grid = fc.TimeGrid(1.0, 16)
     bundle = fc.sample_brownian(grid, 400, fc.SeedSpec(7))
     sol = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle, fc.PicardOpts())
+    monkeypatch.setattr(fbsde, "FP_TOL", 1e-300)
+    monkeypatch.setattr(fbsde, "FP_MAX", 2)
     with pytest.raises(fc.NoConvergenceError) as err:
-        fc.solve_first_order_adjoint(bench.spec, sol, bench.optimal_control,
-                                     fc.AdjointOpts(fp_tol=1e-300, fp_max=2))
+        fc.solve_first_order_adjoint(bench.spec, sol, bench.optimal_control)
     assert err.value.residual > 0
     assert err.value.detail.startswith("node ")
+
+
+def test_margin_floor_travels_with_the_stack(cz_small):
+    # adj1 keeps the floor it was built with, and the second-order adjoint,
+    # Delta and the mp-check along that reference check against it: the
+    # coupled benchmark's margin 0.9 passes the default 0.1 and fails 0.95
+    bench, _, sol, adj1, adj2 = cz_small
+    spike = fc.SpikeSpec(0.25, 0.125, 1.0)
+    solves = (lambda a: fc.solve_second_order_adjoint(bench.spec, sol, a),
+              lambda a: fc.solve_delta(bench.spec, sol, a, spike),
+              lambda a: fc.check_maximum_principle(bench.spec, bench.optimal_control, sol, a,
+                                                   adj2, fc.MpOpts(n_nodes=4)))
+    strict = dataclasses.replace(adj1, c_min=0.95)
+    for solve in solves:
+        solve(adj1)
+        with pytest.raises(fc.InvertibilityError) as err:
+            solve(strict)
+        assert err.value.c_min == 0.95
 
 
 def test_k1_identity_every_node(cz_small):

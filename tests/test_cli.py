@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fbscontrol as fc
-from fbscontrol.cli import RunConfig, main
+from fbscontrol.cli import RunConfig, build_parser, config_from_args, main
 from fbscontrol.errors import ConfigError
 
 
@@ -61,6 +61,41 @@ def test_config_field_types():
     for raw in ({"seed": True}, {"dump_panels": 1}, {"experiment": {"beta": [2, "4"]}}):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("mp_nodes", [0, -2])
+def test_config_rejects_mp_nodes_below_one(tmp_path, capsys, mp_nodes):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": {"mp_nodes": mp_nodes},
+                               "out_dir": str(tmp_path / "o")}))
+    assert run(["mp-check", "--config", cfg]) == 1
+    assert "experiment.mp_nodes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("args", [["solve", "--bogus", 1], ["solve", "--steps", "abc"],
+                                  ["bench", "--spike-at", 0.3]])
+def test_usage_error_exits_1(args, capsys):
+    # exit 2 is the no-convergence code, so a usage error must not use it
+    with pytest.raises(SystemExit) as err:
+        run(args)
+    assert err.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: fbscontrol")
+
+
+def test_flags_set_their_config_fields():
+    args = build_parser().parse_args(
+        ["spike", "--seed", "5", "--out", "o", "--problem", "coupled_z", "--paths", "9",
+         "--steps", "8", "--control", "zero", "--epsilon-ladder", "0.25,0.125",
+         "--beta", "2,4", "--spike-at", "0.5", "--spike-value", "-1"])
+    cfg = config_from_args(args)
+    assert (cfg.seed, cfg.out_dir, cfg.problem.name, cfg.solver.paths, cfg.solver.steps) == \
+        (5, "o", "coupled_z", 9, 8)
+    e = cfg.experiment
+    assert (e.control, e.epsilon_ladder, e.beta, e.spike_at, e.spike_value) == \
+        ("zero", [0.25, 0.125], [2.0, 4.0], 0.5, -1.0)
+    dumps = config_from_args(build_parser().parse_args(["mp-check", "--dump-hamiltonian"]))
+    assert (dumps.dump_panels, dumps.dump_hamiltonian) == (False, True)
 
 
 def test_config_rejects_unknown_field():

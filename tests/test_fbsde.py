@@ -568,8 +568,8 @@ def test_linear_two_dimensional_adapted_coefficients():
     check_two_dim(adapted=True)
 
 
-def test_decoupling_default_tolerance_bounds_distance_to_limit():
-    # fp_tol bounds the distance of each node's p from that node's fixed
+def test_decoupling_default_tolerance_bounds_distance_to_limit(monkeypatch):
+    # FP_TOL bounds the distance of each node's p from that node's fixed
     # point, relative to 1 + sup|p|: at node N-1, where no later node's
     # distance feeds in, the default is that close to a much tighter solve.
     # Along the backward recursion the node distances add up, so node 0 is
@@ -579,7 +579,8 @@ def test_decoupling_default_tolerance_bounds_distance_to_limit():
     bundle = fc.sample_brownian(grid, M, fc.SeedSpec(15))
     s = linear_spec(grid, M, bundle)
     p = solve_decoupling(s, bundle).p
-    p_tight = solve_decoupling(s, bundle, fp_tol=1e-15).p
+    monkeypatch.setattr(fbscontrol.fbsde, "FP_TOL", 1e-15)
+    p_tight = solve_decoupling(s, bundle).p
     floor = 1e-12 * (1.0 + np.abs(p_tight).max())
     gap = np.abs(p - p_tight).max(axis=(0, 2))
     assert gap[grid.N - 1] <= floor

@@ -161,3 +161,12 @@ def test_expansion_lq_spike_positive_jdiff(lq_small):
     assert np.isfinite(np.nanmax(defect_over_eps))
     # defect/eps decreases along the ladder (the higher-order claim)
     assert defect_over_eps[0] > defect_over_eps[-1]
+
+
+def test_mp_check_needs_a_node(lq_small):
+    # no sampled node is no evidence: a verdict from it would be PASS at min z = inf
+    bench, _, sol, adj1, adj2 = lq_small
+    for n_nodes in (0, -2):
+        with pytest.raises(ValueError, match="n_nodes"):
+            fc.check_maximum_principle(bench.spec, bench.optimal_control, sol, adj1, adj2,
+                                       fc.MpOpts(n_nodes=n_nodes))

@@ -82,12 +82,6 @@ def test_second_partial_fd_fallback():
     assert np.abs(gyz - 1.0).max() < 1e-7
 
 
-def test_riccati_rk4_constant_solution():
-    P = fc.riccati_rk4(T=1.0)
-    assert abs(P(0.5) - 1.0) < 1e-12
-    assert abs(P(0.0) - 1.0) < 1e-12
-
-
 def test_lq_value_oracles():
     # deterministic case by RK4 on the Riccati/value ODEs
     assert fc.lq_value_rk4(1.0, 0.0, 1.0) == pytest.approx(0.5, abs=1e-9)

@@ -112,7 +112,7 @@ def test_delta_sine_diffusion_vs_bisection():
     u_vals = np.full((M, 1), 0.7)
     i = 3
     d, resid, method, iters = delta_at_node(spec, frame.state(i), frame.values(i)["s"], p_node,
-                                            i, u_vals, tol=1e-12)
+                                            i, u_vals, 0.1)
     assert method == "FIXED_POINT"
     assert np.abs(resid).max() <= 1e-10
 
