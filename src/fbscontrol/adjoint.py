@@ -160,12 +160,17 @@ def solve_second_order_adjoint(spec, sol: FbsdeSolution,
         p, q, k1 = pv_all[:, i], qv_all[:, i], k1_all[:, i]
         S = parts["sx"] + np.einsum("mi,mj->mij", parts["sy"], p) + np.einsum("mi,mj->mij", parts["sz"], k1)
         Bm = parts["bx"] + np.einsum("mi,mj->mij", parts["by"], p) + np.einsum("mi,mj->mij", parts["bz"], k1)
-        G = np.concatenate([np.broadcast_to(np.eye(n), (M, n, n)), p[:, :, None], k1[:, :, None]], axis=2)
+        # G = (I, p, K1) as (n, n+2, M) and the Hessians in their slot-major
+        # memory, (n+2, n+2, M, ...), so the contractions run along the path axis
+        G = np.zeros((n, n + 2, M))
+        G[np.arange(n), np.arange(n)] = 1.0
+        G[:, n], G[:, n + 1] = p.T, k1.T
+        hg = sec["g"].transpose(1, 2, 0)
+        hb, hs = sec["b"].transpose(2, 3, 0, 1), sec["s"].transpose(2, 3, 0, 1)
         # D^2 H = D^2 g + sum_i p_i D^2 b^i + sum_i q_i D^2 sigma^i over (x, y, z)
-        D2H = (sec["g"] + np.einsum("mi,miab->mab", p, sec["b"])
-               + np.einsum("mi,miab->mab", q, sec["s"]))
-        quad = np.einsum("mia,mab,mjb->mij", G, D2H, G)
-        pD2s = np.einsum("mia,mab,mjb->mij", G, np.einsum("mi,miab->mab", p, sec["s"]), G)
+        D2H = hg + np.einsum("mi,abmi->abm", p, hb) + np.einsum("mi,abmi->abm", q, hs)
+        quad = np.einsum("iam,abm,jbm->mij", G, D2H, G)
+        pD2s = np.einsum("iam,abm,jbm->mij", G, np.einsum("mi,abmi->abm", p, hs), G)
         mbar = 1.0 - _dot(p, parts["sz"])
         mm = float(np.abs(mbar).min())
         if mm < adj1.c_min:

@@ -27,7 +27,7 @@ from .fbsde import PicardOpts, solve_coupled_picard
 from .hamiltonian import MpOpts, check_maximum_principle
 from .model import benchmark_coupled_z, benchmark_lq, constant_control
 from .paths import SeedSpec, TimeGrid, sample_brownian
-from .spike import run_order_experiment
+from .spike import SpikeSpec, default_epsilon_ladder, run_order_experiment
 
 
 @dataclass
@@ -90,7 +90,18 @@ class RunConfig:
         cfg.validate()
         return cfg
 
-    def validate(self):
+    def spike_window(self):
+        """The spike command's epsilon ladder and spike time, with their
+        defaults (T 2^-4 ... T 2^-8 and T/4) resolved."""
+        T = self.problem.T
+        ladder = self.experiment.epsilon_ladder or default_epsilon_ladder(T)
+        spike_at = self.experiment.spike_at if self.experiment.spike_at >= 0 else T / 4.0
+        return ladder, spike_at
+
+    def validate(self, command=None):
+        """Check every field; for ``spike``, the only command that reads the
+        ladder, each rung must also be a positive multiple of T / steps whose
+        window from the spike time ends by T."""
         if self.solver.steps < 2:
             raise ConfigError("solver.steps", f"must be >= 2, got {self.solver.steps}")
         if self.solver.paths < 1:
@@ -105,6 +116,22 @@ class RunConfig:
         if self.experiment.mp_nodes < 1:
             raise ConfigError("experiment.mp_nodes",
                               f"must be >= 1, got {self.experiment.mp_nodes}")
+        if command == "spike":
+            grid = TimeGrid(self.problem.T, self.solver.steps)
+            ladder, spike_at = self.spike_window()
+            try:
+                grid.node_of(spike_at)
+            except ValueError as exc:
+                raise ConfigError("experiment.spike_at", str(exc)) from None
+            for eps in ladder:
+                try:
+                    if eps <= 0:
+                        raise ValueError("a rung must be positive")
+                    SpikeSpec(spike_at, eps, 0.0).window_nodes(grid)
+                except ValueError as exc:
+                    raise ConfigError("experiment.epsilon_ladder",
+                                      f"rung {eps!r} (dt={grid.dt!r}, spike at {spike_at!r}): "
+                                      f"{exc}") from None
 
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
@@ -224,8 +251,7 @@ def cmd_spike(cfg: RunConfig) -> int:
     grid = TimeGrid(cfg.problem.T, cfg.solver.steps)
     bundle = sample_brownian(grid, cfg.solver.paths, SeedSpec(cfg.seed))
     picard, adj_opts = _opts(cfg)
-    ladder = cfg.experiment.epsilon_ladder or None
-    spike_at = cfg.experiment.spike_at if cfg.experiment.spike_at >= 0 else None
+    ladder, spike_at = cfg.spike_window()
     report = run_order_experiment(
         bench.spec, control, bundle, eps_ladder=ladder,
         betas=tuple(cfg.experiment.beta), spike_at=spike_at,
@@ -339,7 +365,7 @@ def config_from_args(args) -> RunConfig:
         if value is not None:
             *section, key = _FLAGS[flag][0].split(".")
             setattr(getattr(cfg, section[0]) if section else cfg, key, value)
-    cfg.validate()
+    cfg.validate(args.command)
     return cfg
 
 

@@ -40,6 +40,11 @@ class PicardOpts:
 
 @dataclass
 class FbsdeSolution:
+    """A converged coupled solve. ``closures`` are the final sweep's (Y, Z)
+    fits; ``forward_closures`` are the fits that drove its final forward
+    simulation (the previous sweep's closures, or a resumed solve's start's),
+    which is what a later solve on the same increments resumes from."""
+
     X: ProcessPanel
     Y: ProcessPanel
     Z: ProcessPanel
@@ -49,8 +54,9 @@ class FbsdeSolution:
     sweeps: int
     y0_samples: np.ndarray
     closures: list   # the final sweep's NodeFit per node 0..N-1, returning (Y, Z)
+    forward_closures: list  # the NodeFits that X was simulated with
     bases: list      # the final sweep's NodeBasis per node 0..N-1
-    rho: Optional[float]   # the stopping sweep's contraction rate (None at sweep 2)
+    rho: Optional[float]   # the stopping sweep's contraction rate (None with one residual)
     change_bound: float    # and its bound on the change still to come
 
     @property
@@ -133,11 +139,12 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
         nonlocal y_path
         x = X.values[:, i]
         u = control.values_at(i, nodes[i], x)
-        last, y_fit = None, None
+        last, y_fit, g_last = None, None, None
 
         def step(y):
-            nonlocal last, y_fit
-            target = y_next + spec.g.value(nodes[i], x, y, z, u) * dt
+            nonlocal last, y_fit, g_last
+            g_last = (y, spec.g.value(nodes[i], x, y, z, u))
+            target = y_next + g_last[1] * dt
             # compared as bits: equal bits give the same fit, which == on floats
             # does not promise (0.0 == -0.0)
             if last is None or not np.array_equal(target.view(np.int64), last.view(np.int64)):
@@ -147,7 +154,10 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
 
         y, _ = _fixed_point(step, step(y_next), opts.inner_tol, opts.inner_max - 1,
                             "picard inner y fixed point", i)
-        y_path += spec.g.value(nodes[i], x, y, z, u) * dt
+        # where the fixed point ended on its own last argument (no refit),
+        # the driver at y is the one that step evaluated
+        g = g_last[1] if y is g_last[0] else spec.g.value(nodes[i], x, y, z, u)
+        y_path += g * dt
         return y
 
     Y, Z, z_coefs = _backward_regression(basis_at, terminal, dB, dt, node, "Y")
@@ -158,28 +168,45 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
 
 
 def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
-                         bundle: BrownianBundle, opts: PicardOpts = None) -> FbsdeSolution:
+                         bundle: BrownianBundle, opts: PicardOpts = None,
+                         start: FbsdeSolution = None) -> FbsdeSolution:
     """Alternate forward simulation (with current Y/Z closures) and backward
     regression until the change still to come is below the value's Monte Carlo
     error.
 
+    A cold solve (``start=None``) simulates sweep 1 with zero closures and
+    measures its first residual at sweep 2. A solve resumed from ``start``, a
+    solution on the same Brownian increments (else ValueError), simulates
+    sweep 1 with ``start.forward_closures`` and measures its residual against
+    start's final (X, Y, Z). So a control that changes no value reproduces
+    start bit for bit and stops at sweep 1 with trace [0.0]; the spiked solves
+    of an order experiment resume their reference this way.
+
     The residual r_k of sweep k is the max over (X, Y, Z) of the sup-over-nodes
-    root mean square path change. From sweep 3 on, the contraction rate rho is
-    the larger of the last two ratios r_k / r_{k-1}, and the change still to
-    come is bounded by r_k rho / (1 - rho). The solve stops at the first sweep
-    with r_k = 0 (decoupled problems whose b and sigma ignore y and z, at
-    sweep 2), or with rho < 1 and the bound at most max(SE_SHARE * se, FLOOR),
-    where se is this sweep's value standard error; FLOOR matters only when the
-    value has (next to) no spread, as with one path. After ``max_sweeps`` it
-    raises NoConvergenceError with the residual trace.
+    root mean square path change. Once two residuals exist, the contraction
+    rate rho is the larger of the last two ratios r_k / r_{k-1}, and the
+    change still to come is bounded by r_k rho / (1 - rho). The solve stops at
+    the first sweep with r_k = 0 (decoupled problems whose b and sigma ignore
+    y and z, at sweep 2 when cold), or with rho < 1 and the bound at most
+    max(SE_SHARE * se, FLOOR), where se is this sweep's value standard error;
+    FLOOR matters only when the value has (next to) no spread, as with one
+    path. After ``max_sweeps`` it raises NoConvergenceError with the residual
+    trace.
     """
     if opts is None:
         opts = PicardOpts()
     closures = None
     prev = None
+    if start is not None:
+        if start.bundle is not bundle and not (start.bundle.grid == bundle.grid
+                                               and np.array_equal(start.bundle.dB, bundle.dB)):
+            raise ValueError("start was solved on other Brownian increments")
+        closures = start.forward_closures
+        prev = (start.X.values, start.Y.values, start.Z.values)
     trace = []
     for sweep in range(1, opts.max_sweeps + 1):
-        X = simulate_forward(spec, control, closures, bundle)
+        forward = closures
+        X = simulate_forward(spec, control, forward, bundle)
         Y, Z, closures, rep = solve_bsde_regression(spec, control, X, bundle, opts)
         if prev is not None:
             res = max(
@@ -190,8 +217,8 @@ def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
             trace.append(res)
             rho, bound = _contraction(trace)
             if bound <= max(SE_SHARE * mean_stderr(rep["y0_samples"])[1], FLOOR):
-                return FbsdeSolution(X, Y, Z, control, bundle, trace, sweep,
-                                     rep["y0_samples"], closures, rep["bases"], rho, bound)
+                return FbsdeSolution(X, Y, Z, control, bundle, trace, sweep, rep["y0_samples"],
+                                     closures, forward, rep["bases"], rho, bound)
         prev = (X.values, Y.values, Z.values)
         del rep  # free this sweep's bases before the next sweep builds its own
     err = NoConvergenceError("picard", trace[-1] if trace else np.inf,

@@ -55,24 +55,59 @@ def _require_finite(a):
         raise ValueError("array must not contain infs or NaNs")
 
 
+@cache
+def _product_chain(n_dims: int, degree: int) -> tuple:
+    """How each feature row of degree >= 2 is built: (k, parent, j) says row k
+    of ``monomial_exponents(n_dims, degree)`` is row ``parent`` times
+    coordinate j, the last coordinate its monomial contains."""
+    exponents = monomial_exponents(n_dims, degree)
+    index = {tuple(e): k for k, e in enumerate(exponents)}
+    chain = []
+    for k, e in enumerate(exponents):
+        if e.sum() >= 2:
+            j = int(np.flatnonzero(e)[-1])
+            parent = e.copy()
+            parent[j] -= 1
+            chain.append((k, index[tuple(parent)], j))
+    return tuple(chain)
+
+
+def _feature_rows(state_t: np.ndarray, mean: np.ndarray, degree: int, scale=None):
+    """The (K, M) monomial feature rows of a transposed state (n, M), in
+    ``monomial_exponents`` order, and the scale. The state is centred on
+    ``mean`` once, into rows 1..n; with ``scale`` None the scale is the
+    centred rows' own standard deviation (np.std's steps, so its bits; 1
+    where it vanishes). Rows 1..n are then standardized in place, and each
+    row of degree >= 2 is written as an earlier row times one coordinate."""
+    n, M = state_t.shape
+    K = len(monomial_exponents(n, degree))
+    rows = np.empty((max(K, n + 1), M))
+    rows[0] = 1.0
+    z = rows[1:n + 1]
+    np.subtract(state_t, mean[:, None], out=z)
+    if scale is None:
+        scale = np.sqrt(np.add.reduce(z * z, axis=1) / M)
+        scale = np.where(scale < _DEGENERATE_TOL, 1.0, scale)
+    z /= scale[:, None]
+    for k, parent, j in _product_chain(n, degree):
+        np.multiply(rows[parent], z[j], out=rows[k])
+    return rows[:K], scale
+
+
 @dataclass
 class BasisTransform:
-    """Everything needed to rebuild a node's design matrix at new state values."""
+    """Everything needed to rebuild a node's design matrix at new state values:
+    the per-dimension standardization, the basis degree and the retained
+    columns. Its feature rows are built as :class:`NodeBasis` builds them."""
 
     mean: np.ndarray
     scale: np.ndarray
-    exponents: np.ndarray
+    degree: int
     keep: np.ndarray  # indices of retained columns
 
     def _rows(self, state_t: np.ndarray) -> np.ndarray:
         """All feature rows (K, M) at a C-contiguous transposed state (n, M)."""
-        z = (state_t - self.mean[:, None]) / self.scale[:, None]
-        rows = np.ones((len(self.exponents), z.shape[1]))
-        for k, expo in enumerate(self.exponents):
-            for j, e in enumerate(expo):
-                if e:
-                    rows[k] *= z[j] ** e
-        return rows
+        return _feature_rows(state_t, self.mean, self.degree, self.scale)[0]
 
     def _kept(self, rows: np.ndarray) -> np.ndarray:
         """The (M, K) design matrix: a view of the retained feature rows."""
@@ -86,6 +121,9 @@ class BasisTransform:
 class NodeBasis:
     """Design matrix and inverse Gram matrix for one node.
 
+    The (K, M) feature rows are built in one pass by :func:`_feature_rows`
+    (at degree <= 2 bit for bit the products of powers of the state
+    standardized by np.std), and ``transform`` rebuilds them at new states.
     The inverse is R^-1 R^-T from the Cholesky factor G = R^T R, so it is
     exactly symmetric. A Gram matrix that is not positive definite is ridged
     by RIDGE_LAMBDA (``ridge_used``); if that fails too, it raises
@@ -108,13 +146,10 @@ class NodeBasis:
         # a NaN or inf in a state column makes its mean non-finite
         if not np.isfinite(mean).all():
             raise ValueError("conditioning state has non-finite entries")
-        scale = state_t.std(axis=1)
-        scale = np.where(scale < _DEGENERATE_TOL, 1.0, scale)
-        exponents = monomial_exponents(state_t.shape[0], degree)
-        rows = BasisTransform(mean, scale, exponents, None)._rows(state_t)
+        rows, scale = _feature_rows(state_t, mean, degree)
         row_span = rows.max(axis=1) - rows.min(axis=1)
         keep = np.flatnonzero((row_span > _DEGENERATE_TOL) | (np.arange(len(rows)) == 0))
-        self.transform = BasisTransform(mean, scale, exponents, keep)
+        self.transform = BasisTransform(mean, scale, degree, keep)
         self.phi = self.transform._kept(rows)
         gram = self.phi.T @ self.phi
         _require_finite(gram)

@@ -288,13 +288,15 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
         diff1 = (np.einsum("mij,mj->mi", parts["sx"], x1)
                  + parts["sy"] * y1[:, None] + parts["sz"] * k1x[:, None])
         sec = frame.second(i)
-        v = np.concatenate([x1, y1[:, None], k1x[:, None]], axis=1)
+        # v = (X1, Y1, <K1, X1>) as contiguous (n+2, M) rows: the contractions
+        # then run along the path axis
+        v = np.concatenate([x1.T, y1[None], k1x[None]])
         drift2 = (np.einsum("mij,mj->mi", parts["bx"], x2)
                   + parts["by"] * y2[:, None] + parts["bz"] * z2[:, None]
-                  + 0.5 * np.einsum("ma,miab,mb->mi", v, sec["b"], v))
+                  + 0.5 * np.einsum("am,miab,bm->mi", v, sec["b"], v))
         diff2 = (np.einsum("mij,mj->mi", parts["sx"], x2)
                  + parts["sy"] * y2[:, None] + parts["sz"] * z2[:, None]
-                 + 0.5 * np.einsum("ma,miab,mb->mi", v, sec["s"], v))
+                 + 0.5 * np.einsum("am,miab,bm->mi", v, sec["s"], v))
         if inc is not None:
             diff1 = diff1 + inc["s"]
             drift2 = drift2 + inc["b"]
@@ -366,8 +368,8 @@ def _residual_backward_y2(var):
 
     def node(i, nb, y_next, m_next, zv):
         parts = frame.first(i)
-        v = np.concatenate([X1[:, i], Y1[:, i, None], _dot(K1[:, i], X1[:, i])[:, None]], axis=1)
-        forcing = 0.5 * np.einsum("ma,mab,mb->m", v, _hessian(spec.g, *frame.state(i)), v)
+        v = np.concatenate([X1[:, i].T, Y1[None, :, i], _dot(K1[:, i], X1[:, i])[None]])
+        forcing = 0.5 * np.einsum("am,mab,bm->m", v, _hessian(spec.g, *frame.state(i)), v)
         inc = delta.increments.get(i)
         if inc is not None:
             forcing = forcing + _dot(q[:, i], inc["s"]) + inc["g"]
@@ -515,6 +517,11 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
     numbers and fit log-log slopes of the spike-difference and variational
     norms, together with the scalar expansion defect |J(u^eps) - J(u) - Y2(0)|.
 
+    Each spiked solve resumes the reference solve (``start``), which it
+    matches up to the spike window, and stops by the Picard rule against its
+    own standard error; a spike that changes no control value returns the
+    reference itself, so its ``jdiff`` is exactly 0.
+
     Precomputed reference solutions/adjoints may be passed to share work across
     experiments; epsilon entries whose solves fail (no convergence or an
     invertibility guard) are flagged and excluded from the slope fits.
@@ -560,7 +567,7 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
             delta = solve_delta(spec, sol, adj1, spike)
             var = simulate_variations(spec, sol, adj1, adj2, spike, delta)
             u_eps = spike.spiked_control(frozen, grid)
-            sol_eps = solve_coupled_picard(spec, u_eps, bundle, picard)
+            sol_eps = solve_coupled_picard(spec, u_eps, bundle, picard, start=sol)
         except (NoConvergenceError, InvertibilityError) as exc:
             flags[j] = f"solve failed: {exc}"
             for rec in norms.values():

@@ -73,6 +73,23 @@ def test_config_rejects_mp_nodes_below_one(tmp_path, capsys, mp_nodes):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flags, field", [
+    ([], "experiment.epsilon_ladder"),  # the default ladder reaches T 2^-8, under dt = T/16
+    (["--epsilon-ladder", "0.25", "--spike-at", "0.875"], "experiment.epsilon_ladder"),
+    (["--epsilon-ladder", "0,0.25"], "experiment.epsilon_ladder"),
+    (["--epsilon-ladder", "0.25", "--spike-at", "0.3"], "experiment.spike_at"),
+])
+def test_spike_rejects_rungs_off_the_grid(tmp_path, capsys, flags, field):
+    # each rung must be a positive multiple of dt whose window ends by T; a
+    # misfit is a config error before any output, not a traceback mid-run
+    assert run(["spike", "--paths", 50, "--steps", 16, "--out", tmp_path / "o"] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+    if field == "experiment.epsilon_ladder":
+        assert "dt=0.0625" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("args", [["solve", "--bogus", 1], ["solve", "--steps", "abc"],
                                   ["bench", "--spike-at", 0.3]])
 def test_usage_error_exits_1(args, capsys):

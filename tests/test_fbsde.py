@@ -7,7 +7,7 @@ from fbscontrol.errors import InvertibilityError, NoConvergenceError, NonFiniteE
 from fbscontrol.fbsde import (LinearFbsdeSpec, _panel_change, simulate_forward,
                               solve_bsde_regression, solve_decoupling, solve_linear_fbsde)
 from fbscontrol.model import Coefficient, TerminalMap, ProblemSpec, RealControlSet
-from fbscontrol.paths import node_major
+from fbscontrol.paths import mean_stderr, node_major
 from fbscontrol.regression import NodeBasis
 
 from conftest import make_zero_problem
@@ -180,15 +180,17 @@ def test_picard_single_path_stops_at_floor():
     assert 0.0 < sol.change_bound <= 1e-6 and sol.rho < 1.0
 
 
-def _strict_picard(spec, control, bundle, opts=None, sweeps=30):
-    """Reference solve: a fixed number of plain sweeps and no stopping rule.
-    Takes and ignores ``opts`` so that it can stand in for solve_coupled_picard."""
+def _strict_picard(spec, control, bundle, opts=None, sweeps=30, start=None):
+    """Reference solve: a fixed number of plain sweeps from a cold start and no
+    stopping rule. Takes and ignores ``opts`` and ``start`` so that it can
+    stand in for solve_coupled_picard."""
     closures = None
     for _ in range(sweeps):
-        X = simulate_forward(spec, control, closures, bundle)
+        forward = closures
+        X = simulate_forward(spec, control, forward, bundle)
         Y, Z, closures, rep = solve_bsde_regression(spec, control, X, bundle)
     return fc.FbsdeSolution(X, Y, Z, control, bundle, [], sweeps, rep["y0_samples"], closures,
-                            rep["bases"], None, 0.0)
+                            forward, rep["bases"], None, 0.0)
 
 
 def test_stopping_rule_against_strict_reference(monkeypatch):
@@ -247,6 +249,41 @@ def test_picard_null_spike_bit_identical(cz_small):
     assert np.array_equal(sol_eps.y0_samples, sol.y0_samples)
 
 
+def test_spiked_solve_resumes_its_reference(cz_small):
+    # resumed from the reference, a spiked solve agrees with a cold one well
+    # inside the paired error of J(u^eps) - J(u) and takes no more sweeps
+    bench, bundle, sol, _, _ = cz_small
+    grid = sol.X.grid
+    frozen = fc.tabulate_control(bench.optimal_control, sol.X.values, grid)
+    for eps in (0.125, 0.0625, 0.03125):
+        u_eps = fc.SpikeSpec(0.25, eps, 1.0).spiked_control(frozen, grid)
+        cold = fc.solve_coupled_picard(bench.spec, u_eps, bundle)
+        warm = fc.solve_coupled_picard(bench.spec, u_eps, bundle, start=sol)
+        se = mean_stderr(cold.y0_samples - sol.y0_samples)[1]
+        assert abs(warm.value - cold.value) <= 0.2 * se, eps
+        assert warm.sweeps <= cold.sweeps, eps
+    # a spike to the reference's own control value changes nothing: sweep 1
+    # reproduces the reference bit for bit and the solve stops there
+    u_null = fc.SpikeSpec(0.25, 0.125, -1.0).spiked_control(frozen, grid)
+    null = fc.solve_coupled_picard(bench.spec, u_null, bundle, start=sol)
+    assert (null.sweeps, null.residual_trace) == (1, [0.0])
+    assert null.forward_closures is sol.forward_closures
+    for a, b in ((null.X, sol.X), (null.Y, sol.Y), (null.Z, sol.Z)):
+        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(null.y0_samples, sol.y0_samples)
+
+
+def test_resume_needs_the_same_increments(cz_small):
+    bench, bundle, sol, _, _ = cz_small
+    control = bench.optimal_control
+    for other in (fc.sample_brownian(bundle.grid, bundle.M, fc.SeedSpec(43)), bundle.coarsen(2)):
+        with pytest.raises(ValueError, match="other Brownian increments"):
+            fc.solve_coupled_picard(bench.spec, control, other, start=sol)
+    # a copy of the same increments is the same draw
+    copy = fc.BrownianBundle(bundle.grid, bundle.dB.copy(), bundle.seed)
+    assert fc.solve_coupled_picard(bench.spec, control, copy, start=sol).sweeps == 1
+
+
 def test_picard_grid_self_convergence():
     # fine-grid reference under shared noise: the relative sup error of the
     # coarse solves against the fine panels shrinks as the grid refines
@@ -299,18 +336,24 @@ def test_picard_inner_skip_is_bit_identical(monkeypatch):
     bench = fc.benchmark_coupled_z(0.1)
     grid = fc.TimeGrid(1.0, 16)
     bundle = fc.sample_brownian(grid, 400, fc.SeedSpec(7))
-    regressions = []
+    regressions, drivers = [], []
     coefficients = NodeBasis.coefficients
     monkeypatch.setattr(NodeBasis, "coefficients",
                         lambda nb, target: regressions.append(1) or coefficients(nb, target))
+    driver = bench.spec.g.value
+    monkeypatch.setattr(bench.spec.g, "value", lambda *a: drivers.append(1) or driver(*a))
     sol = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle, fc.PicardOpts())
-    skipped = len(regressions)
+    skipped, evaluated = len(regressions), len(drivers)
     regressions.clear()
+    drivers.clear()
     with monkeypatch.context() as patch:
         patch.setattr(np, "array_equal", lambda a, b: False)  # every inner step regresses
         ref = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle, fc.PicardOpts())
     assert ref.sweeps == sol.sweeps
     assert len(regressions) == skipped + sol.sweeps * grid.N
+    # the fixed point ends on the fit it was given, so the value sum reuses the
+    # driver of its last step: two evaluations per node, three after a refit
+    assert (evaluated, len(drivers)) == (2 * sol.sweeps * grid.N, 3 * sol.sweeps * grid.N)
     for a, b in ((sol.X, ref.X), (sol.Y, ref.Y), (sol.Z, ref.Z)):
         assert np.array_equal(a.values, b.values)
     assert np.array_equal(sol.y0_samples, ref.y0_samples)

@@ -68,6 +68,48 @@ def test_design_rebuilds_phi_bitwise(n):
     assert nb.transform.design(state).tobytes() == nb.phi.tobytes()
 
 
+def _node_basis_by_powers(state, degree):
+    """The build before one-pass feature rows: np.std's scale, an np.ones row
+    per monomial times each factor's power, and the same column drop and
+    inverse Gram. Returns (phi, inverse Gram, scale)."""
+    state_t = np.ascontiguousarray(state.T)
+    mean = state_t.mean(axis=1)
+    scale = state_t.std(axis=1)
+    scale = np.where(scale < 1e-12, 1.0, scale)
+    z = (state_t - mean[:, None]) / scale[:, None]
+    exponents = monomial_exponents(len(state_t), degree)
+    rows = np.ones((len(exponents), z.shape[1]))
+    for k, expo in enumerate(exponents):
+        for j, e in enumerate(expo):
+            if e:
+                rows[k] *= z[j] ** e
+    span = rows.max(axis=1) - rows.min(axis=1)
+    phi = rows[np.flatnonzero((span > 1e-12) | (np.arange(len(rows)) == 0))].T
+    r_inv_t = np.linalg.inv(np.linalg.cholesky(phi.T @ phi))
+    return phi, r_inv_t.T @ r_inv_t, scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_pass_rows_match_powers_bitwise(n):
+    # at degree 2 every row is z_j or a product of two coordinates, and the
+    # scale takes np.std's steps, so the one-pass build changes no bit
+    rng = np.random.Generator(np.random.Philox(key=[13, n]))
+    state = 0.5 + rng.normal(size=(400, n)) * np.array([1.0, 0.3, 2.0])[:n]
+    nb = NodeBasis(state, degree=2)
+    phi, gram_inv, scale = _node_basis_by_powers(state, 2)
+    assert nb.phi.tobytes() == phi.tobytes()
+    assert nb._gram_inv.tobytes() == gram_inv.tobytes()
+    assert nb.transform.scale.tobytes() == scale.tobytes()
+
+
+def test_two_valued_state_drops_its_square():
+    # z = +-1 exactly, so z^2 is the constant 1 and its column goes
+    state = np.where(np.arange(200) % 2 == 0, 1.5, -0.5)[:, None]
+    nb = NodeBasis(state, degree=2)
+    assert np.array_equal(nb.transform.keep, [0, 1])
+    assert nb.phi.tobytes() == _node_basis_by_powers(state, 2)[0].tobytes()
+
+
 def test_constant_dimension_drops_exactly_its_columns():
     rng = np.random.Generator(np.random.Philox(key=[11, 1]))
     state = rng.normal(size=(400, 3))
