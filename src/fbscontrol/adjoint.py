@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._frame import RefFrame
-from .errors import InvertibilityError
-from .fbsde import FbsdeSolution, _dot, _solve_first_order
+from .fbsde import FbsdeSolution, _dot, _margin_floor, _solve_first_order
 from .paths import ProcessPanel, mean_stderr, node_major
 from .regression import FP_MAX, FP_TOL, _backward_regression, _fixed_point
 
@@ -172,9 +171,7 @@ def solve_second_order_adjoint(spec, sol: FbsdeSolution,
         quad = np.einsum("iam,abm,jbm->mij", G, D2H, G)
         pD2s = np.einsum("iam,abm,jbm->mij", G, np.einsum("mi,abmi->abm", p, hs), G)
         mbar = 1.0 - _dot(p, parts["sz"])
-        mm = float(np.abs(mbar).min())
-        if mm < adj1.c_min:
-            raise InvertibilityError(mm, adj1.c_min, where=f"second-order adjoint node {i}")
+        _margin_floor(mbar, adj1.c_min, f"second-order adjoint node {i}")
         syp = np.einsum("mi,mj->mij", parts["sy"], p)
         return parts, p, S, Bm, quad, pD2s, mbar, syp
 

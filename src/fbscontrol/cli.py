@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,14 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
+        """A config from its JSON object; an unknown key at any level raises
+        ConfigError naming it. ``version``, which resolved_config.json adds,
+        is accepted and ignored."""
         cfg = RunConfig()
+        known = {f.name for f in fields(RunConfig)} | {"version"}
+        for key in raw:
+            if key not in known:
+                raise ConfigError(key, "unknown field")
         for section, cls in (("problem", ProblemConfig), ("solver", SolverConfig),
                              ("experiment", ExperimentConfig)):
             sub = raw.get(section, {})

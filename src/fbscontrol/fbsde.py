@@ -15,7 +15,7 @@ from .errors import InvertibilityError, NoConvergenceError
 from .model import ControlLaw, ProblemSpec
 from .paths import (SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, TimeGrid,
                     mean_stderr, moment_norm, node_major)
-from .regression import (FP_MAX, FP_TOL, NodeBasis, NodeFit, _backward_regression,
+from .regression import (FIT_TOL, FP_MAX, FP_TOL, NodeBasis, NodeFit, _backward_regression,
                          _contraction, _fixed_point, _regress, _require_finite_paths)
 
 
@@ -27,15 +27,12 @@ FLOOR = 1e-6
 
 @dataclass
 class PicardOpts:
-    """Picard sweep cap and basis degree, and the inner y fixed point of each
-    backward node where the driver reads y: it stops once its contraction
-    bound puts y within inner_tol * (1 + sup|y|) of the node's fixed point,
-    and raises after inner_max regressions."""
+    """Picard sweep cap and basis degree. The inner y fixed point of each
+    backward node is the package's per-node fixed point (regression.FIT_TOL,
+    at most FP_MAX regressions)."""
 
     max_sweeps: int = 50
     degree: int = 2          # total degree of the polynomial regression basis
-    inner_tol: float = 1e-10
-    inner_max: int = 10
 
 
 @dataclass
@@ -113,9 +110,9 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
     Y_N is pinned to phi(X_N) node-exactly. At each earlier node, Z comes from
     projecting the centered martingale increment (Y_{i+1} - E_i[Y_{i+1}]) dB / dt
     onto the basis, and Y from regressing Y_{i+1} + g(t_i, X_i, ., Z_i, u_i) dt,
-    iterating the y-argument to a fixed point (at most ``opts.inner_max``
-    regressions) when the driver reads it; a regressand equal bit for bit to
-    the previous one reuses its fit.
+    iterating the y-argument to a fixed point within FIT_TOL * (1 + sup|y|) of
+    its limit (at most FP_MAX regressions) when the driver reads it; a
+    regressand equal bit for bit to the previous one reuses its fit.
 
     Returns (Y panel, Z panel, per-node (Y, Z) NodeFits, report dict); the
     report carries the node bases, which later solves along the same panel reuse.
@@ -152,7 +149,7 @@ def solve_bsde_regression(spec: ProblemSpec, control: ControlLaw, X: ProcessPane
                 y_fit = nb.phi @ y_coefs[i]
             return y_fit
 
-        y, _ = _fixed_point(step, step(y_next), opts.inner_tol, opts.inner_max - 1,
+        y, _ = _fixed_point(step, step(y_next), FIT_TOL, FP_MAX - 1,
                             "picard inner y fixed point", i)
         # where the fixed point ended on its own last argument (no refit),
         # the driver at y is the one that step evaluated
@@ -327,11 +324,19 @@ def _dot(a, b):
     return np.einsum("mi,mi->m", a, b)
 
 
+def _margin_floor(mbar, c_min, where):
+    """The smallest |margin| over the paths of ``mbar``; below ``c_min`` it
+    raises InvertibilityError naming ``where`` and the path of that margin."""
+    size = np.abs(mbar)
+    mm = float(size.min())
+    if mm < c_min:
+        raise InvertibilityError(mm, c_min, where=f"{where}, path {np.argmin(size)}")
+    return mm
+
+
 def _k1_formula(parts, p, q, c_min, where):
     mbar = 1.0 - _dot(p, parts["sz"])
-    mm = float(np.abs(mbar).min())
-    if mm < c_min:
-        raise InvertibilityError(mm, c_min, where=where)
+    mm = _margin_floor(mbar, c_min, where)
     k1 = (np.einsum("mji,mj->mi", parts["sx"], p)
           + _dot(p, parts["sy"])[:, None] * p + q) / mbar[:, None]
     return k1, mbar, mm

@@ -168,7 +168,8 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
     """Sample nodes uniformly in time and candidate controls over the control
     set's grid; PASS when the minimum z-score of the cross-path mean gap stays
     above the threshold (default -3). Continuous control sets get bisection
-    refinement around the worst grid point. Raises ValueError when
+    refinement around the worst grid point, along one axis at a time, starting
+    from half that axis's grid spacing. Raises ValueError when
     ``opts.n_nodes`` is below 1: a verdict needs at least one node.
     """
     if opts is None:
@@ -178,6 +179,8 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
     grid = sol.X.grid
     node_idx = np.unique(np.linspace(0, grid.N - 1, opts.n_nodes).astype(int))
     u_grid = spec.control_set.mp_grid()
+    # each axis's grid spacing: its range over its distinct values less one
+    spacing = np.array([np.ptp(a) / max(len(np.unique(a)) - 1, 1) for a in u_grid.T])
 
     table = []
     min_z = np.inf
@@ -208,11 +211,12 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
         best_u = scan(i, ctx, h_ref, u_grid)
         if spec.control_set.is_continuous and len(u_grid) > 1:
             refined = True
-            span = (u_grid.max(axis=0) - u_grid.min(axis=0)) / max(len(u_grid) - 1, 1)
-            center = best_u
+            span, center = spacing, best_u
             for _ in range(REFINE_ROUNDS):
                 span = span / 2.0
-                local = np.array([center - span, center + span])
+                # bisect axis by axis: center -/+ span_j e_j, skipping flat axes
+                local = np.array([center + sign * e for e in np.diag(span)[span > 0]
+                                  for sign in (-1.0, 1.0)])
                 better = scan(i, ctx, h_ref, local)
                 center = better if better is not None else center
 

@@ -85,31 +85,21 @@ class Coefficient:
         self.out = out  # "vector" (n components) or "scalar"
         self._supplied = dict(dxx=dxx, dxy=dxy, dxz=dxz, dyy=dyy, dyz=dyz, dzz=dzz)
 
-    # -- shape helpers -------------------------------------------------------
-    def _shapes(self, M, n):
-        if self.out == "vector":
-            return {
-                "fn": (M, n), "dx": (M, n, n), "dy": (M, n), "dz": (M, n),
-                "dxx": (M, n, n, n), "dxy": (M, n, n), "dxz": (M, n, n),
-                "dyy": (M, n), "dyz": (M, n), "dzz": (M, n),
-            }
-        return {
-            "fn": (M,), "dx": (M, n), "dy": (M,), "dz": (M,),
-            "dxx": (M, n, n), "dxy": (M, n), "dxz": (M, n),
-            "dyy": (M,), "dyz": (M,), "dzz": (M,),
-        }
+    def _shape(self, name, x):
+        """Shape of ``name`` ("fn" or a partial) at states x (M, n): (M, n) for
+        a vector coefficient or (M,) for a scalar one, plus one n for each x
+        in the name."""
+        M, n = x.shape
+        return ((M, n) if self.out == "vector" else (M,)) + (n,) * name.count("x")
 
     def value(self, t, x, y, z, u):
-        M, n = x.shape
-        return _bc(self.fn(t, x, y, z, u), self._shapes(M, n)["fn"])
+        return _bc(self.fn(t, x, y, z, u), self._shape("fn", x))
 
     def first(self, name, t, x, y, z, u):
-        M, n = x.shape
-        return _bc(getattr(self, name)(t, x, y, z, u), self._shapes(M, n)[name])
+        return _bc(getattr(self, name)(t, x, y, z, u), self._shape(name, x))
 
     def second(self, name, t, x, y, z, u):
-        M, n = x.shape
-        shape = self._shapes(M, n)[name]
+        shape = self._shape(name, x)
         supplied = self._supplied[name]
         if supplied is not None:
             return _bc(supplied(t, x, y, z, u), shape)

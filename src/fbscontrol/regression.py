@@ -26,12 +26,16 @@ from .paths import node_major
 
 RIDGE_LAMBDA = 1e-8
 _DEGENERATE_TOL = 1e-12
-# tolerance and step cap of the per-node algebraic fixed points (the first-order
-# adjoint's p, which the linear decoupling shares, and the second-order P): each
-# stops within FP_TOL * (1 + sup|.|) of its node's limit; along a backward
-# recursion these node distances add up
+# tolerance and step cap of every per-node algebraic fixed point (the
+# first-order adjoint's p, which the linear decoupling shares, the second-order
+# P, Picard's inner y and Delta): each stops within FP_TOL * (1 + sup|.|) of its
+# node's limit; along a backward recursion these node distances add up
 FP_TOL = 1e-12
 FP_MAX = 20
+# Picard's inner y, whose step is a regression, stops at FIT_TOL instead: on
+# ill-conditioned node bases (degree 6 for n = 1, degree 2 for n = 2) a fit
+# moves by 1e-11 to 2e-10 under last-bit changes of its regressand
+FIT_TOL = 1e-10
 
 
 @cache
@@ -280,13 +284,18 @@ def _fixed_point(step, start, tol, cap, what, node):
     at most f_k. So ``tol`` bounds the distance of the returned x from the
     fixed point, relative to 1 + sup|x|, not the last step. After ``cap`` steps
     (a growing or non-contracting sequence never stops earlier) it raises
-    NoConvergenceError with the last step size and the node."""
-    x, changes = start, []
+    NoConvergenceError with the last step size and the node, and, for an
+    iterate with a path axis (its first), the path with the largest last change."""
+    x, changes, change = start, [], None
     for it in range(1, cap + 1):
         new = step(x)
-        changes.append(float(np.max(np.abs(new - x))))
+        change = np.abs(new - x)
+        changes.append(float(np.max(change)))
         x = new
         floor = tol * (1.0 + np.max(np.abs(new)))
         if changes[-1] <= floor or _contraction(changes)[1] <= floor:
             return x, it
-    raise NoConvergenceError(what, changes[-1] if changes else np.inf, detail=f"node {node}")
+    detail = f"node {node}"
+    if np.ndim(change) > 0:
+        detail += f", worst path {np.unravel_index(np.argmax(change), change.shape)[0]}"
+    raise NoConvergenceError(what, changes[-1] if changes else np.inf, detail=detail)

@@ -14,20 +14,15 @@ from ._frame import _hessian
 from .adjoint import (AdjointOpts, FirstOrderAdjoint, SecondOrderAdjoint, YhatSolution,
                       solve_first_order_adjoint, solve_second_order_adjoint, solve_yhat)
 from .errors import InvertibilityError, NoConvergenceError
-from .fbsde import FbsdeSolution, PicardOpts, _dot, solve_coupled_picard
+from .fbsde import FbsdeSolution, PicardOpts, _dot, _margin_floor, solve_coupled_picard
 from .model import LINEAR_IN_Z, OpenLoopControl, ProblemSpec, tabulate_control
 from .paths import (SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, _norm_moments,
                     mean_stderr, node_major)
-from .regression import NodeBasis, _backward_regression
+from .regression import FP_MAX, FP_TOL, NodeBasis, _backward_regression, _fixed_point
 
 CLOSED_FORM_SZ0 = "CLOSED_FORM_SZ0"
 CLOSED_FORM_LINEAR = "CLOSED_FORM_LINEAR"
 FIXED_POINT = "FIXED_POINT"
-# Delta's fixed-point route stops when a step changes Delta by at most
-# DELTA_TOL * (1 + sup|Delta|), and raises after DELTA_CAP steps (half damped
-# fixed point, half Newton)
-DELTA_TOL = 1e-12
-DELTA_CAP = 50
 
 
 @dataclass
@@ -93,10 +88,10 @@ def delta_at_node(spec: ProblemSpec, state, sig_ref: np.ndarray, p_node: np.ndar
     method, iters).
 
     Route: z-free sigma -> one-step closed form; declared linear-in-z -> exact
-    inverse; otherwise damped fixed point with a Newton fallback on stall
-    (tolerance DELTA_TOL, at most DELTA_CAP steps). The margins of the last two
-    routes are checked against ``c_min``, the floor of the reference's
-    first-order adjoint (``FirstOrderAdjoint.c_min``).
+    inverse; otherwise Newton steps from Delta = 0 through the package's
+    per-node fixed point (regression.FP_TOL, at most FP_MAX steps). The
+    margins of the last two routes are checked against ``c_min``, the floor
+    of the reference's first-order adjoint (``FirstOrderAdjoint.c_min``).
     """
     t, x, y, z, u_ref = state
     M = x.shape[0]
@@ -113,38 +108,19 @@ def delta_at_node(spec: ProblemSpec, state, sig_ref: np.ndarray, p_node: np.ndar
     if not force_fixed_point and spec.sigma_form == LINEAR_IN_Z:
         A = np.broadcast_to(spec.A_at(t), (M, spec.n))
         mbar = 1.0 - _dot(p_node, A)
-        mm = float(np.abs(mbar).min())
-        if mm < c_min:
-            raise InvertibilityError(mm, c_min, where=f"delta node {i}")
+        _margin_floor(mbar, c_min, f"delta node {i}")
         s1_new = np.asarray(spec.sigma1_eval(t, x, y, u_vals), dtype=float).reshape(M, spec.n)
         s1_ref = np.asarray(spec.sigma1_eval(t, x, y, u_ref), dtype=float).reshape(M, spec.n)
         delta = _dot(p_node, s1_new - s1_ref) / mbar
         return delta, residual_of(delta), CLOSED_FORM_LINEAR, 1
 
-    # damped fixed point, Newton fallback on stall
-    delta = np.zeros(M)
-    theta = 0.8
-    iters = 0
-    for iters in range(1, DELTA_CAP // 2 + 1):
-        rhs = _dot(p_node, spec.sigma.value(t, x, y, z + delta, u_vals) - sig_ref)
-        new = (1.0 - theta) * delta + theta * rhs
-        if np.max(np.abs(new - delta)) <= DELTA_TOL * (1.0 + np.max(np.abs(new))):
-            return new, residual_of(new), FIXED_POINT, iters
-        delta = new
-    for j in range(DELTA_CAP - DELTA_CAP // 2):
-        iters += 1
-        res = residual_of(delta)
+    def newton(delta):
         slope = 1.0 - _dot(p_node, spec.sigma.first("dz", t, x, y, z + delta, u_vals))
-        mm = float(np.abs(slope).min())
-        if mm < c_min:
-            raise InvertibilityError(mm, c_min, where=f"delta Newton node {i}")
-        new = delta - res / slope
-        if np.max(np.abs(new - delta)) <= DELTA_TOL * (1.0 + np.max(np.abs(new))):
-            return new, residual_of(new), FIXED_POINT, iters
-        delta = new
-    worst = int(np.argmax(np.abs(residual_of(delta))))
-    raise NoConvergenceError("delta fixed point", float(np.abs(residual_of(delta)).max()),
-                             detail=f"node {i}, worst path {worst}")
+        _margin_floor(slope, c_min, f"delta Newton node {i}")
+        return delta - residual_of(delta) / slope
+
+    delta, iters = _fixed_point(newton, np.zeros(M), FP_TOL, FP_MAX, "delta fixed point", i)
+    return delta, residual_of(delta), FIXED_POINT, iters
 
 
 def solve_delta(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,

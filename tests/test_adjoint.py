@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -91,7 +92,8 @@ def test_first_order_fixed_point_error_reports_step(monkeypatch):
 def test_margin_floor_travels_with_the_stack(cz_small):
     # adj1 keeps the floor it was built with, and the second-order adjoint,
     # Delta and the mp-check along that reference check against it: the
-    # coupled benchmark's margin 0.9 passes the default 0.1 and fails 0.95
+    # coupled benchmark's margin 0.9 passes the default 0.1 and fails 0.95,
+    # and the error names the node and the path of the smallest margin
     bench, _, sol, adj1, adj2 = cz_small
     spike = fc.SpikeSpec(0.25, 0.125, 1.0)
     solves = (lambda a: fc.solve_second_order_adjoint(bench.spec, sol, a),
@@ -104,6 +106,7 @@ def test_margin_floor_travels_with_the_stack(cz_small):
         with pytest.raises(fc.InvertibilityError) as err:
             solve(strict)
         assert err.value.c_min == 0.95
+        assert re.search(r"node \d+, path \d+$", str(err.value))
 
 
 def test_k1_identity_every_node(cz_small):

@@ -121,6 +121,27 @@ def test_config_rejects_unknown_field():
     assert "solver.stepz" in str(err.value)
 
 
+@pytest.mark.parametrize("raw, key", [({"solvr": {"paths": 5}}, "solvr"),
+                                      ({"paths": 5}, "paths"), ({"out": "x"}, "out")])
+def test_config_rejects_unknown_top_level_key(raw, key):
+    # a misplaced or misspelt key must not load the defaults without a word
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(raw)
+    assert err.value.field == key and "unknown field" in str(err.value)
+
+
+def test_resolved_config_reloads(tmp_path):
+    # resolved_config.json adds a version key, which a reload accepts
+    out = tmp_path / "o"
+    assert run(["solve", "--problem", "coupled_z", "--paths", 50, "--steps", 8,
+                "--seed", 4, "--out", out]) == 0
+    raw = json.loads((out / "resolved_config.json").read_text())
+    assert "version" in raw
+    cfg = RunConfig.from_dict(raw)
+    assert (cfg.problem.name, cfg.solver.paths, cfg.seed, cfg.out_dir) == \
+        ("coupled_z", 50, 4, str(out))
+
+
 def test_config_rejects_picard_tol(tmp_path, capsys):
     # Picard's stopping rule has no tolerance field; an old config says so
     cfg = tmp_path / "cfg.json"

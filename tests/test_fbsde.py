@@ -312,9 +312,11 @@ def test_picard_no_convergence_reports_trace():
     assert hasattr(err.value, "trace") and len(err.value.trace) >= 1
 
 
-def test_picard_inner_loop_raises_when_capped():
+def test_picard_inner_loop_raises_when_capped(monkeypatch):
     # the driver reads y, so the inner y fixed point needs more than the three
     # regressions allowed here; it must say so instead of returning the iterate
+    monkeypatch.setattr(fbscontrol.fbsde, "FIT_TOL", 0.0)
+    monkeypatch.setattr(fbscontrol.fbsde, "FP_MAX", 3)
     bench = fc.benchmark_coupled_z(0.1)
     zs = lambda t, x, y, z, u: np.zeros(x.shape[0])
     bench.spec.g = Coefficient(lambda t, x, y, z, u: 0.5 * u[:, 0] ** 2 + x[:, 0] + 2.0 * y,
@@ -324,10 +326,24 @@ def test_picard_inner_loop_raises_when_capped():
     grid = fc.TimeGrid(1.0, 16)
     bundle = fc.sample_brownian(grid, 400, fc.SeedSpec(7))
     with pytest.raises(NoConvergenceError) as err:
-        fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle,
-                                fc.PicardOpts(inner_tol=0.0, inner_max=3))
+        fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle, fc.PicardOpts())
     assert err.value.residual > 0
-    assert err.value.detail == "node 15"
+    assert err.value.detail == "node 15, worst path 106"
+
+
+def test_picard_inner_y_converges_on_an_ill_conditioned_basis():
+    # a degree-6 basis on 400 paths: its fits move by about 5e-11 under
+    # last-bit changes of the regressand, so the inner y must stop at
+    # regression.FIT_TOL (a 1e-12 stop raises at node 15 here)
+    bench = fc.benchmark_coupled_z(0.1)
+    zs = lambda t, x, y, z, u: np.zeros(x.shape[0])
+    bench.spec.g = Coefficient(lambda t, x, y, z, u: 0.5 * u[:, 0] ** 2 + x[:, 0] + 0.5 * np.sin(y),
+                               lambda t, x, y, z, u: np.ones_like(x),
+                               lambda t, x, y, z, u: 0.5 * np.cos(y), zs, out="scalar")
+    bundle = fc.sample_brownian(fc.TimeGrid(1.0, 16), 400, fc.SeedSpec(11))
+    sol = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle,
+                                  fc.PicardOpts(degree=6))
+    assert sol.sweeps == 11
 
 
 def test_picard_inner_skip_is_bit_identical(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 import fbscontrol as fc
 from fbscontrol.hamiltonian import build_context, eval_script_H, hamiltonian_gap
 
-from conftest import SEED
+from conftest import SEED, make_zero_problem
 
 
 def test_self_gap_exactly_zero(lq_small):
@@ -49,6 +49,33 @@ def test_lq_script_H_quadratic_minimizer(lq_small):
     hm1 = eval_script_H(ctx, -1.0)
     assert np.abs((h1 + hm1 - 2 * h0) - 1.0).max() <= 1e-12
     assert np.abs((h1 - hm1) / 2 - ctx.p[:, 0]).max() <= 1e-12
+
+
+def test_mp_refinement_bisects_each_axis_of_a_box():
+    # k = 2 box [-1, 1]^2 on a 9 x 9 grid (spacing 0.25); b = 0, sigma = 1 and
+    # g = |u - c|^2 / 2 make the gap deterministic, smallest at the grid point
+    # (0.25, -0.5) nearest c. The first refinement round tries that point
+    # -/+ 0.125 along axis 0, then along axis 1.
+    spec = make_zero_problem()
+    c = np.array([0.3, -0.55])
+    zs = lambda t, x, y, z, u: np.zeros(x.shape[0])
+    zv = lambda t, x, y, z, u: np.zeros_like(x)
+    spec.g = fc.Coefficient(lambda t, x, y, z, u: 0.5 * ((u - c) ** 2).sum(axis=1), zv, zs, zs,
+                            dxx=lambda t, x, y, z, u: np.zeros((x.shape[0], 1, 1)),
+                            dxy=zv, dxz=zv, dyy=zs, dyz=zs, dzz=zs, out="scalar")
+    spec.control_set = fc.BoxControlSet([-1.0, -1.0], [1.0, 1.0])
+    control = fc.constant_control([0.0, 0.0], k=2)
+    bundle = fc.sample_brownian(fc.TimeGrid(1.0, 8), 50, fc.SeedSpec(SEED))
+    sol = fc.solve_coupled_picard(spec, control, bundle, fc.PicardOpts())
+    adj1 = fc.solve_first_order_adjoint(spec, sol, control)
+    adj2 = fc.solve_second_order_adjoint(spec, sol, adj1)
+    rep = fc.check_maximum_principle(spec, control, sol, adj1, adj2, fc.MpOpts(n_nodes=1))
+    grid_rows, first_round = rep.table[:81], rep.table[81:85]
+    best = np.array(min(grid_rows, key=lambda row: row[2])[1])
+    assert best.tolist() == [0.25, -0.5]
+    steps = [np.array(row[1]) - best for row in first_round]
+    assert np.array_equal(steps, [[-0.125, 0.0], [0.125, 0.0], [0.0, -0.125], [0.0, 0.125]])
+    assert len(rep.table) == 81 + 3 * 4
 
 
 def test_mp_pass_at_lq_optimum(lq_small):

@@ -316,3 +316,11 @@ def test_fixed_point_zero_change_stops_at_step_one():
 def test_fixed_point_expanding_map_names_node():
     with pytest.raises(NoConvergenceError, match=r"affine map.*node 7"):
         _fixed_point(lambda x: 1.5 * x + 1.0, 0.0, 1e-12, 20, "affine map", 7)
+
+
+def test_fixed_point_error_names_the_worst_path():
+    # an (M, n) iterate: path 2 grows fastest, so its last change is the largest
+    rate = np.array([[1.1, 1.0], [1.2, 1.1], [1.3, 1.5], [1.0, 1.0]])
+    with pytest.raises(NoConvergenceError) as err:
+        _fixed_point(lambda x: rate * x + 1.0, np.zeros((4, 2)), 1e-12, 20, "growing map", 3)
+    assert err.value.detail == "node 3, worst path 2"

@@ -83,23 +83,24 @@ def test_delta_zero_off_window(cz_small):
     assert np.abs(delta.residual.values).max() <= 1e-10
 
 
-def test_delta_sine_diffusion_vs_bisection():
-    # sigma = sin(z)/2 + u, p fixed at 1: Delta solves
-    # Delta = (sin(Z + Delta) - sin(Z))/2 + (u - u_ref); bisection is the oracle
+def _delta_node(sig, sig_z, sig_zz):
+    """delta_at_node at node 3 of an 8-step grid for the diffusion sig(z, u)
+    with partials sig_z and sig_zz (z-only; b, g and phi vanish), at M = 64
+    random reference z values, p = 1, u_ref = -0.4 and v = 0.7. Returns the z
+    values and delta_at_node's results."""
     zm = lambda t, x, y, z, u: np.zeros((x.shape[0], 1, 1))
     zv = lambda t, x, y, z, u: np.zeros_like(x)
     zs = lambda t, x, y, z, u: np.zeros(x.shape[0])
     zt = lambda *a: np.zeros((a[1].shape[0], 1, 1, 1))
+    col = lambda f: lambda t, x, y, z, u: f(z)[:, None] * np.ones_like(x)
     b = Coefficient(zv, zm, zv, zv, dxx=zt, dxy=zm, dxz=zm, dyy=zv, dyz=zv, dzz=zv)
-    sig = Coefficient(lambda t, x, y, z, u: 0.5 * np.sin(z)[:, None] + u[:, :1],
-                      zm, zv, lambda t, x, y, z, u: 0.5 * np.cos(z)[:, None],
-                      dxx=zt, dxy=zm, dxz=zm, dyy=zv, dyz=zv,
-                      dzz=lambda t, x, y, z, u: -0.5 * np.sin(z)[:, None])
+    sigma = Coefficient(lambda t, x, y, z, u: sig(z[:, None], u[:, :1]), zm, zv,
+                        col(sig_z), dxx=zt, dxy=zm, dxz=zm, dyy=zv, dyz=zv, dzz=col(sig_zz))
     g = Coefficient(zs, zv, zs, zs, dxx=lambda t, x, y, z, u: np.zeros((x.shape[0], 1, 1)),
                     dxy=zv, dxz=zv, dyy=zs, dyz=zs, dzz=zs, out="scalar")
     phi = TerminalMap(lambda x: np.zeros(x.shape[0]), lambda x: np.zeros_like(x),
                       lambda x: np.zeros((x.shape[0], 1, 1)))
-    spec = ProblemSpec(n=1, horizon_T=1.0, x0=np.array([0.0]), b=b, sigma=sig, g=g,
+    spec = ProblemSpec(n=1, horizon_T=1.0, x0=np.array([0.0]), b=b, sigma=sigma, g=g,
                        phi=phi, growth_L=3.0, control_set=BoxControlSet([-1.0], [1.0]))
     grid = fc.TimeGrid(1.0, 8)
     M = 64
@@ -108,24 +109,43 @@ def test_delta_sine_diffusion_vs_bisection():
     from fbscontrol._frame import RefFrame
     frame = RefFrame(spec, np.zeros((M, grid.N + 1, 1)), np.zeros((M, grid.N + 1)),
                      zbar, np.full((M, grid.N + 1, 1), -0.4), grid)
-    p_node = np.ones((M, 1))
-    u_vals = np.full((M, 1), 0.7)
     i = 3
-    d, resid, method, iters = delta_at_node(spec, frame.state(i), frame.values(i)["s"], p_node,
-                                            i, u_vals, 0.1)
+    return zbar[:, i], delta_at_node(spec, frame.state(i), frame.values(i)["s"], np.ones((M, 1)),
+                                     i, np.full((M, 1), 0.7), 0.1)
+
+
+def test_delta_sine_diffusion_vs_bisection():
+    # sigma = sin(z)/2 + u, p fixed at 1: Delta solves
+    # Delta = (sin(Z + Delta) - sin(Z))/2 + (u - u_ref); bisection is the oracle
+    z, (d, resid, method, iters) = _delta_node(lambda z, u: 0.5 * np.sin(z) + u,
+                                               lambda z: 0.5 * np.cos(z),
+                                               lambda z: -0.5 * np.sin(z))
     assert method == "FIXED_POINT"
     assert np.abs(resid).max() <= 1e-10
 
     def F(delta):
-        return delta - (0.5 * (np.sin(zbar[:, i] + delta) - np.sin(zbar[:, i])) + 1.1)
+        return delta - (0.5 * (np.sin(z + delta) - np.sin(z)) + 1.1)
 
-    lo, hi = np.full(M, -3.0), np.full(M, 3.0)
+    lo, hi = np.full(len(z), -3.0), np.full(len(z), 3.0)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         neg = F(mid) < 0
         lo = np.where(neg, mid, lo)
         hi = np.where(neg, hi, mid)
     assert np.abs(d - 0.5 * (lo + hi)).max() <= 1e-8
+
+
+def test_delta_newton_where_plain_iteration_diverges():
+    # sigma = 2z + u with p = 1, not declared linear in z: the plain map
+    # Delta -> 2 Delta + (v - u_ref) diverges, and Newton (slope 1 - 2 = -1,
+    # above c_min) solves the linear equation in one step from Delta = 0:
+    # Delta = -(v - u_ref); the second step confirms it
+    _, (d, resid, method, iters) = _delta_node(lambda z, u: 2.0 * z + u,
+                                               lambda z: np.full_like(z, 2.0), np.zeros_like)
+    assert method == "FIXED_POINT"
+    assert iters == 2
+    assert np.abs(d - (-(0.7 - (-0.4)))).max() <= 1e-12
+    assert np.abs(resid).max() <= 1e-12
 
 
 def test_spike_with_adapted_open_loop_panel(cz_small):
