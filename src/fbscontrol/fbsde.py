@@ -6,7 +6,7 @@ forward-backward systems (with its L^beta estimate check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -237,9 +237,9 @@ def _panel_change(new, old):
 # linear forward-backward systems (explicit decoupled solver)
 # ---------------------------------------------------------------------------
 
-def _panelize(arr, M, n_nodes, shape):
-    """Broadcast a constant / deterministic / adapted coefficient to a full panel view."""
-    return np.broadcast_to(np.asarray(arr, dtype=float), (M, n_nodes) + tuple(shape))
+# the fields the (p, q, K1) pass reads, and the forcings the (phi, nu) pass adds
+_FIRST_ORDER = ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3", "kappa")
+_FORCINGS = ("L1", "L2", "L3", "varsigma")
 
 
 @dataclass
@@ -276,25 +276,22 @@ class LinearFbsdeSpec:
     cond: np.ndarray
 
     def __post_init__(self):
-        Mn, nn, n = self.M, self.grid.N + 1, self.n
-        self.a1 = _panelize(self.a1, Mn, nn, (n, n))
-        self.a2 = _panelize(self.a2, Mn, nn, (n, n))
-        self.a3 = _panelize(self.a3, Mn, nn, (n,))
-        self.b1 = _panelize(self.b1, Mn, nn, (n,))
-        self.b2 = _panelize(self.b2, Mn, nn, (n,))
-        self.c1 = _panelize(self.c1, Mn, nn, (n,))
-        self.c2 = _panelize(self.c2, Mn, nn, (n,))
-        self.b3 = _panelize(self.b3, Mn, nn, ())
-        self.c3 = _panelize(self.c3, Mn, nn, ())
-        self.L1 = _panelize(self.L1, Mn, nn, (n,))
-        self.L2 = _panelize(self.L2, Mn, nn, (n,))
-        self.L3 = _panelize(self.L3, Mn, nn, ())
-        self.kappa = np.broadcast_to(np.asarray(self.kappa, dtype=float), (Mn, n))
-        self.varsigma = np.broadcast_to(np.asarray(self.varsigma, dtype=float), (Mn,))
+        for name in _FIRST_ORDER + _FORCINGS:
+            setattr(self, name, self.panel(name))
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         for name in ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3", "cond"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"field {name} has non-finite entries")
+
+    def panel(self, name):
+        """Field ``name`` as a view of its panel shape: (M, N+1, ...) for the
+        coefficients and forcings, (M, ...) for kappa and varsigma. A constant
+        or deterministic field has stride 0 on the path axis."""
+        n = self.n
+        value = {"a1": (n, n), "a2": (n, n), "b3": (), "c3": (), "L3": (), "varsigma": ()}
+        nodes = () if name in ("kappa", "varsigma") else (self.grid.N + 1,)
+        return np.broadcast_to(np.asarray(getattr(self, name), dtype=float),
+                               (self.M,) + nodes + value.get(name, (n,)))
 
     def partials(self, i):
         """Node-i coefficients under the first-order adjoint's names: the
@@ -308,7 +305,11 @@ class LinearFbsdeSpec:
 @dataclass
 class DecouplingData:
     """Solution of the backward pair (p, q) and scalar pair (phi, nu) that
-    decouples a linear FBSDE, with the K1 panel and the invertibility margin."""
+    decouples a linear FBSDE, with the K1 panel and the invertibility margin.
+    Its panels are read-only (M, N+1, ...) views; a pass solved on one path row
+    (see ``solve_decoupling``) gives stride-0 broadcasts of that row, with q
+    exactly 0, and ``ridge_nodes`` (the nodes whose cond basis was ridged) is
+    empty when no pass built cond bases."""
 
     p: np.ndarray      # (M, N+1, n)
     q: np.ndarray
@@ -395,35 +396,66 @@ def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
     per-node equation is solved exactly so the map from forcings to (phi, nu)
     stays linear.
 
+    The (p, q, K1) pass runs on one path row when a1 ... c3 and kappa are
+    path-constant (stride 0 on the path axis of what each field holds at call
+    time, as constant and deterministic fields have), the (phi, nu) pass when
+    L1, L2, L3 and varsigma are too; otherwise a pass runs on all M paths,
+    and only then builds bases on ``lspec.cond``. One row solves row 0 of every
+    input on one intercept-only basis, which returns its regressand: p is the
+    same on every path, and q is exactly 0.
+
     ``c_min`` is the floor on the margin |1 - <p, c2>|: it is checked here at
     every node and kept on the result, where ``solve_linear_fbsde`` reads it.
     Where c2 is nonzero, each node's p comes from a fixed point that stops
     within regression.FP_TOL * (1 + sup|p|) of that node's limit (at most
     FP_MAX steps); along the backward recursion these node distances add up.
-    (phi, nu) take p as given, so superposition holds to rounding."""
-    dB, dt = bundle.dB, bundle.grid.dt
-    bases = [None] * bundle.grid.N
+    (phi, nu) take p as given, so superposition holds to rounding. A bundle on
+    another grid or with another path count than ``lspec`` raises ValueError."""
+    _require_bundle(lspec, bundle)
+    M, dt = lspec.M, lspec.grid.dt
+    bases = [None] * lspec.grid.N
 
-    def basis_at(i):
-        bases[i] = NodeBasis(lspec.cond[:, i], degree)
+    def cond_basis(i):
+        if bases[i] is None:
+            bases[i] = NodeBasis(lspec.cond[:, i], degree)
         return bases[i]
 
-    p, q, K1, margin, _ = _solve_first_order(basis_at, lspec.kappa, dB, dt, lspec.partials,
-                                             c_min)
+    def widen(a):
+        return np.broadcast_to(a, (M,) + a.shape[1:])
+
+    # (spec, increments, basis_at) of a pass on all paths, and of one on row 0
+    full = row = lspec, bundle.dB, cond_basis
+    if not any(lspec.panel(name).strides[0] for name in _FIRST_ORDER):
+        one = NodeBasis(np.zeros(1), 0)
+        row = (replace(lspec, M=1, cond=lspec.cond[:1],
+                       **{k: lspec.panel(k)[:1] for k in _FIRST_ORDER + _FORCINGS}),
+               bundle.dB[:1], lambda i: one)
+
+    s, dB, basis_at = row
+    p, q, K1, margin, _ = _solve_first_order(basis_at, s.kappa, dB, dt, s.partials, c_min)
+    p, q, K1 = widen(p), widen(q), widen(K1)
+
+    s, dB, basis_at = full if any(lspec.panel(name).strides[0] for name in _FORCINGS) else row
 
     # scalar pair: per-node equation phi = m + (c0 + c1 phi) dt solved exactly
     def phi_node(i, nb, phi_next, m, nv):
-        mbar = 1.0 - _dot(p[:, i], lspec.c2[:, i])
-        gsum = (lspec.c3[:, i] + _dot(p[:, i], lspec.c1[:, i]) + _dot(q[:, i], lspec.c2[:, i])) / mbar
-        c1 = (lspec.b3[:, i] + _dot(p[:, i], lspec.b1[:, i]) + _dot(q[:, i], lspec.b2[:, i])
-              + gsum * _dot(p[:, i], lspec.b2[:, i]))
-        c0 = (lspec.L3[:, i] + _dot(p[:, i], lspec.L1[:, i]) + _dot(q[:, i], lspec.L2[:, i])
-              + gsum * (_dot(p[:, i], lspec.L2[:, i]) + nv))
+        pi, qi = p[:len(dB), i], q[:len(dB), i]
+        mbar = 1.0 - _dot(pi, s.c2[:, i])
+        gsum = (s.c3[:, i] + _dot(pi, s.c1[:, i]) + _dot(qi, s.c2[:, i])) / mbar
+        c1 = s.b3[:, i] + _dot(pi, s.b1[:, i]) + _dot(qi, s.b2[:, i]) + gsum * _dot(pi, s.b2[:, i])
+        c0 = (s.L3[:, i] + _dot(pi, s.L1[:, i]) + _dot(qi, s.L2[:, i])
+              + gsum * (_dot(pi, s.L2[:, i]) + nv))
         return (m + c0 * dt) / (1.0 - c1 * dt)
 
-    phi, nu, _ = _backward_regression(bases.__getitem__, lspec.varsigma, dB, dt, phi_node,
-                                      "decoupling phi")
-    return DecouplingData(p, q, K1, phi, nu, float(margin), c_min, _ridge_nodes(bases))
+    phi, nu, _ = _backward_regression(basis_at, s.varsigma, dB, dt, phi_node, "decoupling phi")
+    return DecouplingData(p, q, K1, widen(phi), widen(nu), float(margin), c_min,
+                          _ridge_nodes(bases) if bases[0] is not None else [])
+
+
+def _require_bundle(lspec, bundle):
+    if bundle.grid != lspec.grid or bundle.M != lspec.M:
+        raise ValueError(f"bundle has {bundle.M} paths on {bundle.grid}, "
+                         f"the spec {lspec.M} paths on {lspec.grid}")
 
 
 def solve_linear_fbsde(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
@@ -437,6 +469,7 @@ def solve_linear_fbsde(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
     (L1, L2, L3, varsigma, x0), so superposition holds to rounding under
     common random numbers.
     """
+    _require_bundle(lspec, bundle)
     if dec.margin < dec.c_min:
         raise InvertibilityError(dec.margin, dec.c_min, where="solve_linear_fbsde")
     grid, dB = bundle.grid, bundle.dB

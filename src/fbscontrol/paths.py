@@ -101,13 +101,19 @@ class BrownianBundle:
 
 
 def sample_brownian(grid: TimeGrid, M: int, seed: SeedSpec) -> BrownianBundle:
-    """Draw M increment streams, one Philox stream per path."""
+    """Draw M increment streams: path m reads ``Generator(Philox(key=
+    seed.key_for(m)))`` from its start, through one generator whose state is
+    reset to that key, a zero counter and an empty buffer before each path."""
     if M < 1:
         raise ValueError("M must be at least 1")
     sqdt = np.sqrt(grid.dt)
     dB = node_major((M, grid.N))
+    bitgen = np.random.Philox(key=seed.key_for(0))
+    rng = np.random.Generator(bitgen)
+    start = bitgen.state  # a copy, taken before any draw
     for m in range(M):
-        rng = np.random.Generator(np.random.Philox(key=seed.key_for(m)))
+        start["state"]["key"] = seed.key_for(m)
+        bitgen.state = start
         dB[m] = rng.standard_normal(grid.N)
     dB *= sqdt
     return BrownianBundle(grid, dB, seed)

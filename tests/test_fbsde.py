@@ -4,8 +4,9 @@ import pytest
 import fbscontrol as fc
 import fbscontrol.spike
 from fbscontrol.errors import InvertibilityError, NoConvergenceError, NonFiniteError
-from fbscontrol.fbsde import (LinearFbsdeSpec, _panel_change, simulate_forward,
-                              solve_bsde_regression, solve_decoupling, solve_linear_fbsde)
+from fbscontrol.fbsde import (_FIRST_ORDER, _FORCINGS, LinearFbsdeSpec, _panel_change,
+                              simulate_forward, solve_bsde_regression, solve_decoupling,
+                              solve_linear_fbsde)
 from fbscontrol.model import Coefficient, TerminalMap, ProblemSpec, RealControlSet
 from fbscontrol.paths import mean_stderr, node_major
 from fbscontrol.regression import NodeBasis
@@ -554,13 +555,91 @@ def test_lbeta_homogeneity_and_zero():
     assert abs(r1.ratio - r2.ratio) <= 1e-10
 
 
-def test_linear_margin_guard():
+def margin_guard_spec():
     grid = fc.TimeGrid(1.0, 32)
-    M = 200
-    bundle = fc.sample_brownian(grid, M, fc.SeedSpec(13))
-    s = linear_spec(grid, M, bundle, c2=1.9)  # kappa=0.5: |1 - 0.5*1.9| = 0.05 < 0.1
-    with pytest.raises(InvertibilityError):
+    bundle = fc.sample_brownian(grid, 200, fc.SeedSpec(13))
+    # kappa=0.5: |1 - 0.5*1.9| = 0.05 < 0.1
+    return linear_spec(grid, 200, bundle, c2=1.9), bundle
+
+
+def test_linear_margin_guard():
+    # constant coefficients: the one-row route names the node all the same
+    s, bundle = margin_guard_spec()
+    with pytest.raises(InvertibilityError, match="first-order adjoint node 31, path 0"):
         solve_decoupling(s, bundle)
+
+
+def test_linear_margin_guard_all_paths():
+    s, bundle = margin_guard_spec()
+    with pytest.raises(InvertibilityError, match="first-order adjoint node 31, path"):
+        solve_decoupling(path_major_copy(s), bundle)
+
+
+def path_major_copy(s):
+    """``s`` with every field a path-major copy: no field has stride 0 on the
+    path axis, so both decoupling passes run on all M paths."""
+    return LinearFbsdeSpec(**{**vars(s), **{name: np.ascontiguousarray(s.panel(name))
+                                            for name in _FIRST_ORDER + _FORCINGS}})
+
+
+def assert_routes_agree(s, full, bundle):
+    """The decoupling and the linear solve of ``s`` equal those of its
+    all-paths copy ``full`` within 1e-12 (1 + sup|.|)."""
+    dec, dec_full = solve_decoupling(s, bundle), solve_decoupling(full, bundle)
+    pairs = [(getattr(dec, k), getattr(dec_full, k)) for k in ("p", "q", "K1", "phi", "nu")]
+    pairs += [(a.values, b.values) for a, b in zip(solve_linear_fbsde(s, bundle, dec),
+                                                    solve_linear_fbsde(full, bundle, dec_full))]
+    for a, b in pairs:
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * (1.0 + np.abs(b).max())
+    return dec, dec_full
+
+
+def test_decoupling_one_row_route_matches_all_paths():
+    # constant coefficients and forcings: both passes solve one path row, whose
+    # one-path regression returns its regressand, so q is exactly zero
+    grid = fc.TimeGrid(1.0, 32)
+    M = 500
+    bundle = fc.sample_brownian(grid, M, fc.SeedSpec(16))
+    s = linear_spec(grid, M, bundle)
+    full = path_major_copy(s)
+    dec, dec_full = assert_routes_agree(s, full, bundle)
+    assert all(getattr(dec, k).strides[0] == 0 for k in ("p", "q", "K1", "phi", "nu"))
+    assert dec_full.p.strides[0] != 0 and dec_full.phi.strides[0] != 0
+    assert np.all(dec.q == 0.0) and dec.ridge_nodes == []
+    assert not dec.p.flags.writeable
+
+
+def test_decoupling_mixed_route_matches_all_paths():
+    # constant coefficients with Brownian-dependent forcings, reassigned after
+    # construction: (p, q, K1) on one row, (phi, nu) on all paths
+    grid = fc.TimeGrid(1.0, 32)
+    M = 500
+    bundle = fc.sample_brownian(grid, M, fc.SeedSpec(17))
+    B = bundle.levels()
+    s = linear_spec(grid, M, bundle)
+    s.L1 = (0.1 + 0.3 * B)[:, :, None]
+    s.L2 = (0.2 - 0.4 * B)[:, :, None]
+    s.L3 = 0.05 + 0.2 * B
+    s.varsigma = 0.1 + 0.5 * B[:, -1]
+    full = path_major_copy(s)
+    dec, dec_full = assert_routes_agree(s, full, bundle)
+    assert dec.p.strides[0] == 0 and np.all(dec.q == 0.0)
+    assert dec.phi.strides[0] != 0 and dec.ridge_nodes == dec_full.ridge_nodes
+
+
+def test_linear_rejects_mismatched_bundle():
+    # a 32-step spec on a 16-step bundle read its node-i coefficients at the
+    # wrong times; a one-row pass would not notice a path-count mismatch either
+    grid = fc.TimeGrid(1.0, 32)
+    bundle = fc.sample_brownian(grid, 60, fc.SeedSpec(18))
+    s = linear_spec(grid, 60, bundle)
+    dec = solve_decoupling(s, bundle)
+    for other in (bundle.coarsen(2), fc.sample_brownian(grid, 50, fc.SeedSpec(18))):
+        with pytest.raises(ValueError, match="bundle has"):
+            solve_decoupling(s, other)
+        with pytest.raises(ValueError, match="bundle has"):
+            solve_linear_fbsde(s, other, dec)
 
 
 def two_dim_spec(grid, M, bundle, l1, l2, l3, vs, x0, adapted=False):

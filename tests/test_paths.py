@@ -54,6 +54,19 @@ def test_path_streams_independent_of_batch():
     assert np.array_equal(big.dB[:10], small.dB)
 
 
+@pytest.mark.parametrize("M", [1, 5])
+def test_sampling_matches_one_generator_per_path(M):
+    # the shared generator, reset before each path, reads exactly the stream a
+    # fresh Generator(Philox(key)) per path reads; an odd N leaves a partly
+    # used Philox buffer behind each path, which the reset must discard
+    g = fc.TimeGrid(1.0, 7)
+    seed = fc.SeedSpec(11, stream_offset=1000)
+    dB = fc.sample_brownian(g, M, seed).dB
+    ref = np.array([np.random.Generator(np.random.Philox(key=seed.key_for(m))).standard_normal(g.N)
+                    for m in range(M)]) * np.sqrt(g.dt)
+    assert np.array_equal(dB, ref)
+
+
 def test_clt_mean_bound():
     g = fc.TimeGrid(1.0, 100)
     M = 100_000
