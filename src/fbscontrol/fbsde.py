@@ -58,6 +58,7 @@ class FbsdeSolution:
 
     @property
     def ridge_nodes(self) -> list:
+        """The nodes, last first, whose final-sweep basis was rank-deficient."""
         return _ridge_nodes(self.bases)
 
     @property
@@ -308,8 +309,8 @@ class DecouplingData:
     decouples a linear FBSDE, with the K1 panel and the invertibility margin.
     Its panels are read-only (M, N+1, ...) views; a pass solved on one path row
     (see ``solve_decoupling``) gives stride-0 broadcasts of that row, with q
-    exactly 0, and ``ridge_nodes`` (the nodes whose cond basis was ridged) is
-    empty when no pass built cond bases."""
+    exactly 0, and ``ridge_nodes`` (the nodes whose cond basis was
+    rank-deficient) is empty when no pass built cond bases."""
 
     p: np.ndarray      # (M, N+1, n)
     q: np.ndarray

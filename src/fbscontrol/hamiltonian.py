@@ -169,7 +169,8 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
     set's grid; PASS when the minimum z-score of the cross-path mean gap stays
     above the threshold (default -3). Continuous control sets get bisection
     refinement around the worst grid point, along one axis at a time, starting
-    from half that axis's grid spacing. Raises ValueError when
+    from half that axis's grid spacing; a round's best candidate becomes the
+    center only when its mean gap is below the center's. Raises ValueError when
     ``opts.n_nodes`` is below 1: a verdict needs at least one node.
     """
     if opts is None:
@@ -203,22 +204,23 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
                                   "u": u_pt.tolist()}, se)
                 if mg < best_mean:
                     best_mean, best_u = mg, u_pt
-        return best_u
+        return best_u, best_mean
 
     for i in node_idx:
         ctx = build_context(spec, sol, adj1, adj2, int(i))
         h_ref = eval_script_H(ctx, ctx.frame.state(ctx.node)[4])
-        best_u = scan(i, ctx, h_ref, u_grid)
+        center, center_mean = scan(i, ctx, h_ref, u_grid)
         if spec.control_set.is_continuous and len(u_grid) > 1:
             refined = True
-            span, center = spacing, best_u
+            span = spacing
             for _ in range(REFINE_ROUNDS):
                 span = span / 2.0
                 # bisect axis by axis: center -/+ span_j e_j, skipping flat axes
                 local = np.array([center + sign * e for e in np.diag(span)[span > 0]
                                   for sign in (-1.0, 1.0)])
-                better = scan(i, ctx, h_ref, local)
-                center = better if better is not None else center
+                best_u, best_mean = scan(i, ctx, h_ref, local)
+                if best_mean < center_mean:
+                    center, center_mean = best_u, best_mean
 
     verdict = "PASS" if min_z >= opts.z_threshold else "FAIL"
     return MpReport(verdict, float(min_z), float(worst[0]), worst[1] or {},

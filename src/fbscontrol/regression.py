@@ -3,10 +3,10 @@
 A :class:`NodeBasis` is built from the conditioning state at one time node
 (polynomial features up to a total degree, standardized per state dimension)
 and keeps the inverse of its Gram matrix, formed once from a Cholesky factor
-(with a small ridge when the Gram matrix is singular), so any number of
-regressands are fitted by one matrix product each. Fits are linear maps of
-the regressand, which is what makes superposition tests on linear equations
-hold to rounding. Only numpy is used.
+(a rank-deficient basis first drops each column whose pivot is at rounding
+level), so any number of regressands are fitted by one matrix product each.
+Fits are linear maps of the regressand, which is what makes superposition
+tests on linear equations hold to rounding. Only numpy is used.
 
 Every backward equation of the package is solved by the one regression step
 of :func:`_backward_regression`, with the node equation supplied by the caller
@@ -24,7 +24,6 @@ import numpy as np
 from .errors import NoConvergenceError, NonFiniteError
 from .paths import node_major
 
-RIDGE_LAMBDA = 1e-8
 _DEGENERATE_TOL = 1e-12
 # tolerance and step cap of every per-node algebraic fixed point (the
 # first-order adjoint's p, which the linear decoupling shares, the second-order
@@ -129,12 +128,14 @@ class NodeBasis:
     (at degree <= 2 bit for bit the products of powers of the state
     standardized by np.std), and ``transform`` rebuilds them at new states.
     The inverse is R^-1 R^-T from the Cholesky factor G = R^T R, so it is
-    exactly symmetric. A Gram matrix that is not positive definite is ridged
-    by RIDGE_LAMBDA (``ridge_used``); if that fails too, it raises
-    ``numpy.linalg.LinAlgError``. Zero-variance state dimensions collapse to
-    the intercept (their feature columns are dropped), so a degenerate node
-    (e.g. the deterministic initial state) regresses to the plain cross-path
-    mean. A non-finite state raises ValueError.
+    exactly symmetric. One rank rule picks the columns: intercept first and
+    in order, a column is kept when its Cholesky pivot against the kept
+    columns before it is above K M eps of its diagonal (K features, M paths),
+    the rounding level of a pivot (Higham, 1990). A constant state
+    dimension's columns are dropped unflagged, so a degenerate node (e.g. the
+    deterministic initial state) regresses to the plain cross-path mean; a
+    basis that drops any other column is rank-deficient (``ridge_used``).
+    A non-finite state raises ValueError.
     """
 
     def __init__(self, state: np.ndarray, degree: int = 2):
@@ -151,21 +152,31 @@ class NodeBasis:
         if not np.isfinite(mean).all():
             raise ValueError("conditioning state has non-finite entries")
         rows, scale = _feature_rows(state_t, mean, degree)
-        row_span = rows.max(axis=1) - rows.min(axis=1)
-        keep = np.flatnonzero((row_span > _DEGENERATE_TOL) | (np.arange(len(rows)) == 0))
+        # a constant dimension's columns are multiples of earlier columns, which
+        # the rule drops: they go before the Gram matrix is formed
+        constant = self.state_lo == self.state_hi
+        keep = np.flatnonzero(monomial_exponents(len(state_t), degree) @ constant == 0)
         self.transform = BasisTransform(mean, scale, degree, keep)
         self.phi = self.transform._kept(rows)
         gram = self.phi.T @ self.phi
         _require_finite(gram)
-        self.ridge_used = False
+        tol = len(gram) * len(self.phi) * np.finfo(float).eps
         try:
             lower = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
-            self.ridge_used = True
-            try:
-                lower = np.linalg.cholesky(gram + RIDGE_LAMBDA * np.eye(gram.shape[0]))
-            except np.linalg.LinAlgError:
-                raise np.linalg.LinAlgError("ridged Gram matrix is not positive definite") from None
+            lower = np.zeros_like(gram)  # no factor: every column goes through the rule
+        self.ridge_used = False
+        if not np.all(lower.diagonal() ** 2 > tol * gram.diagonal()):
+            sub = [0]
+            for j in range(1, len(gram)):
+                # column j's pivot L_jj^2 against the kept columns: its Schur complement
+                g = gram[sub, j]
+                if gram[j, j] - g @ np.linalg.solve(gram[np.ix_(sub, sub)], g) > tol * gram[j, j]:
+                    sub.append(j)
+            self.ridge_used = len(sub) < len(keep)
+            self.transform.keep = keep[sub]
+            self.phi = self.transform._kept(rows)
+            lower = np.linalg.cholesky(self.phi.T @ self.phi)
         r_inv_t = np.linalg.inv(lower)  # (R^-1)^T for R = lower^T
         self._gram_inv = r_inv_t.T @ r_inv_t
 

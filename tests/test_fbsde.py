@@ -12,6 +12,7 @@ from fbscontrol.paths import mean_stderr, node_major
 from fbscontrol.regression import NodeBasis
 
 from conftest import make_zero_problem
+from test_frame import _sine_coefficient
 
 ZERO_CTRL = fc.constant_control(0.0)
 
@@ -345,6 +346,26 @@ def test_picard_inner_y_converges_on_an_ill_conditioned_basis():
     sol = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle,
                                   fc.PicardOpts(degree=6))
     assert sol.sweeps == 11
+
+
+@pytest.mark.parametrize("seed", [7, 3, 11])
+def test_picard_inner_y_converges_on_a_rank_deficient_node(seed):
+    # one Brownian motion drives both state dimensions, so X_1 = x0 + b dt +
+    # sigma dB_0 puts every path on one line and node 1's degree-2 basis is
+    # rank-deficient; g reads y, so the inner y fixed point runs there and
+    # must converge on the columns the rank rule keeps (1, x, x^2)
+    spec = ProblemSpec(
+        n=2, horizon_T=1.0, x0=np.array([0.5, -0.2]),
+        b=_sine_coefficient([0.2, 0.15], [[0.5, 0.3, 0.4, 0.2], [0.25, 0.6, 0.35, 0.45]]),
+        sigma=_sine_coefficient([0.3, 0.25], [[0.3, 0.5, 0.2, 0.4], [0.45, 0.2, 0.3, 0.25]]),
+        g=_sine_coefficient(0.1, [0.4, 0.3, 0.2, 0.5], out="scalar"),
+        phi=TerminalMap(lambda x: 0.5 * (x ** 2).sum(axis=1), lambda x: x.copy()),
+        growth_L=5.0, control_set=fc.BoxControlSet([-1.0], [1.0]))
+    bundle = fc.sample_brownian(fc.TimeGrid(1.0, 32), 1500, fc.SeedSpec(seed))
+    sol = fc.solve_coupled_picard(spec, fc.constant_control([0.2], k=1), bundle, fc.PicardOpts())
+    assert sol.ridge_nodes == [1]
+    assert sol.bases[1].n_features == 3
+    assert np.isfinite(sol.value) and sol.value_stderr < 1e-3
 
 
 def test_picard_inner_skip_is_bit_identical(monkeypatch):

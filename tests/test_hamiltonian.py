@@ -55,7 +55,8 @@ def test_mp_refinement_bisects_each_axis_of_a_box():
     # k = 2 box [-1, 1]^2 on a 9 x 9 grid (spacing 0.25); b = 0, sigma = 1 and
     # g = |u - c|^2 / 2 make the gap deterministic, smallest at the grid point
     # (0.25, -0.5) nearest c. The first refinement round tries that point
-    # -/+ 0.125 along axis 0, then along axis 1.
+    # -/+ 0.125 along axis 0, then along axis 1. None of those is nearer c, so
+    # the second round stays at the grid point, -/+ 0.0625 on each axis.
     spec = make_zero_problem()
     c = np.array([0.3, -0.55])
     zs = lambda t, x, y, z, u: np.zeros(x.shape[0])
@@ -70,11 +71,12 @@ def test_mp_refinement_bisects_each_axis_of_a_box():
     adj1 = fc.solve_first_order_adjoint(spec, sol, control)
     adj2 = fc.solve_second_order_adjoint(spec, sol, adj1)
     rep = fc.check_maximum_principle(spec, control, sol, adj1, adj2, fc.MpOpts(n_nodes=1))
-    grid_rows, first_round = rep.table[:81], rep.table[81:85]
+    grid_rows = rep.table[:81]
     best = np.array(min(grid_rows, key=lambda row: row[2])[1])
     assert best.tolist() == [0.25, -0.5]
-    steps = [np.array(row[1]) - best for row in first_round]
-    assert np.array_equal(steps, [[-0.125, 0.0], [0.125, 0.0], [0.0, -0.125], [0.0, 0.125]])
+    for rows, h in ((rep.table[81:85], 0.125), (rep.table[85:89], 0.0625)):
+        steps = [np.array(row[1]) - best for row in rows]
+        assert np.array_equal(steps, [[-h, 0.0], [h, 0.0], [0.0, -h], [0.0, h]])
     assert len(rep.table) == 81 + 3 * 4
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbscontrol.errors import NoConvergenceError, NonFiniteError
 from fbscontrol.regression import (NodeBasis, NodeFit, _backward_regression, _fixed_point,
@@ -202,6 +203,69 @@ def test_ridge_fallback_on_identical_columns():
     fitted = nb.fit(1.0 + x ** 2 + 0.1 * rng.normal(size=300))
     assert np.all(np.isfinite(fitted))
     assert np.abs(fitted - (1.0 + x ** 2)).mean() < 0.1
+
+
+def test_near_dependent_column_is_dropped():
+    # the second dimension is the first plus 1e-7 noise: its pivot ratio is
+    # about 1e-14, so a plain Cholesky factor of the full Gram matrix exists,
+    # but the pivot is below K M eps = 2e-13 and the rank rule drops it
+    rng = np.random.Generator(np.random.Philox(key=[14, 1]))
+    x = rng.normal(size=300)
+    state = np.column_stack([x, x + 1e-7 * rng.normal(size=300)])
+    nb = NodeBasis(state, degree=1)
+    full = nb.transform._rows(np.ascontiguousarray(state.T)).T
+    np.linalg.cholesky(full.T @ full)
+    assert np.array_equal(nb.transform.keep, [0, 1])
+    assert nb.ridge_used
+
+
+@pytest.mark.parametrize("columns", ["three identical", "constant and a duplicate"])
+def test_dependent_columns_never_raise(columns):
+    rng = np.random.Generator(np.random.Philox(key=[14, 2]))
+    x = rng.normal(size=300)
+    if columns == "three identical":
+        state = np.column_stack([x, x, x])
+    else:
+        state = np.column_stack([x, np.full(300, 0.7), x])
+    nb = NodeBasis(state, degree=2)
+    assert nb.n_features == 3 and nb.ridge_used
+    target = 1.0 + x ** 2
+    assert np.abs(nb.fit(target) - target).max() <= 1e-12
+
+
+@st.composite
+def dependent_states(draw):
+    """A random state of 1 or 2 dimensions (a seed, not the values, is drawn)
+    plus one or two injected exact dependencies: a duplicate, an affine copy
+    or a constant dimension."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = draw(st.integers(20, 200))
+    cols = [rng.normal(size=M) for _ in range(draw(st.integers(1, 2)))]
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "affine", "constant"]),
+                              min_size=1, max_size=2)):
+        base = cols[draw(st.integers(0, len(cols) - 1))]
+        if kind == "duplicate":
+            cols.append(base.copy())
+        elif kind == "affine":
+            cols.append(draw(st.sampled_from([-2.5, -0.3, 0.7, 3.0])) * base + 1.25)
+        else:
+            cols.append(np.full(M, draw(st.floats(-2.0, 2.0))))
+    return np.column_stack(cols), rng.normal(size=M) + cols[0] ** 2
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(dependent_states(), st.integers(1, 3))
+def test_fit_is_full_design_projection_on_dependent_states(case, degree):
+    # the kept columns span the full design, so the fit is the least-squares
+    # projection onto all K features (lstsq on the design, by SVD)
+    state, target = case
+    nb = NodeBasis(state, degree)
+    full = nb.transform._rows(np.ascontiguousarray(state.T)).T
+    assert nb.n_features == np.linalg.matrix_rank(full)
+    proj = full @ np.linalg.lstsq(full, target, rcond=None)[0]
+    cond = np.linalg.cond(nb.phi.T @ nb.phi)
+    bound = 10 * cond * np.finfo(float).eps * (1 + np.abs(target).max())
+    assert np.abs(nb.fit(target) - proj).max() <= bound
 
 
 def _path_major_reference(basis_at, terminal, dB, dt, node):

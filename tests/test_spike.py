@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -264,6 +265,20 @@ def test_residuals_solved_on_first_read_and_kept(cz_small):
         assert getattr(var, f"res_z{order}") is read[1]
     with pytest.raises(ValueError):
         fc.spike.variation_residuals(var, 3)
+
+
+def test_res_y2_before_the_window_is_not_set_by_rounding(cz_small):
+    # before the spike window X1 is 0 and X2 is nearly a function of X, so the
+    # (X, X1, X2) bases there are rank-deficient; on the columns the rank rule
+    # keeps, a last-bit change of X2 moves res_y2 by far less than its size
+    bench, _, sol, adj1, adj2 = cz_small
+    spike = fc.SpikeSpec(0.25, 0.125, 0.0)
+    delta = fc.solve_delta(bench.spec, sol, adj1, spike)
+    var = fc.simulate_variations(bench.spec, sol, adj1, adj2, spike, delta)
+    nudged = dataclasses.replace(var, X2=fc.ProcessPanel(var.X2.values * (1 + 2.0 ** -52),
+                                                         var.X2.grid, "X2"))
+    move = np.abs(nudged.res_y2.scalar() - var.res_y2.scalar())
+    assert move[:, :18].max() <= 1e-6
 
 
 def test_spike_diff_chain_identities(cz_small):
