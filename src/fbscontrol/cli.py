@@ -109,10 +109,12 @@ class RunConfig:
         """Check every field; for ``spike``, the only command that reads the
         ladder, each rung must also be a positive multiple of T / steps whose
         window from the spike time ends by T."""
-        if self.solver.steps < 2:
-            raise ConfigError("solver.steps", f"must be >= 2, got {self.solver.steps}")
-        if self.solver.paths < 1:
-            raise ConfigError("solver.paths", f"must be >= 1, got {self.solver.paths}")
+        for name, low in (("steps", 2), ("paths", 1), ("basis_degree", 0), ("picard_max", 1)):
+            val = getattr(self.solver, name)
+            if val < low:
+                raise ConfigError(f"solver.{name}", f"must be >= {low}, got {val}")
+        if not self.solver.c_min > 0:  # NaN too
+            raise ConfigError("solver.c_min", f"must be positive, got {self.solver.c_min}")
         if self.problem.T <= 0:
             raise ConfigError("problem.T", "must be positive")
         if self.problem.name not in ("lq", "coupled_z"):

@@ -253,7 +253,8 @@ class LinearFbsdeSpec:
 
     Coefficients may be constants, deterministic (N+1,...) arrays, or adapted
     (M, N+1, ...) panels; ``cond`` is the conditioning panel for the backward
-    regressions (Brownian levels are a good default for B-adapted data).
+    regressions, (M, N+1) or (M, N+1, d) (Brownian levels, ``bundle.levels()``,
+    are a good default for B-adapted data).
     """
 
     grid: TimeGrid

@@ -48,9 +48,12 @@ class TimeGrid:
         return nodes
 
     def node_of(self, t: float) -> int:
-        """Nearest grid index of a time, which must sit on the grid."""
+        """Nearest grid index of a time, which must sit on the grid in [0, T]."""
+        tol = 1e-9 * max(self.T, 1.0)
+        if not -tol <= t <= self.T + tol:
+            raise ValueError(f"t={t} is outside [0, {self.T}]")
         i = int(round(t / self.dt))
-        if not np.isclose(i * self.dt, t, rtol=0, atol=1e-9 * max(self.T, 1.0)):
+        if not np.isclose(i * self.dt, t, rtol=0, atol=tol):
             raise ValueError(f"t={t} is not grid-aligned (dt={self.dt})")
         return i
 

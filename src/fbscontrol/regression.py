@@ -1,7 +1,8 @@
 """Per-node least-squares machinery for regression Monte Carlo backward solvers.
 
-A :class:`NodeBasis` is built from the conditioning state at one time node
-(polynomial features up to a total degree, standardized per state dimension)
+A :class:`NodeBasis` is built from the conditioning state of M paths at one
+time node (polynomial features up to a total degree in each varying dimension
+over its std; a dimension spread at rounding level of its size is constant)
 and keeps the inverse of its Gram matrix, formed once from a Cholesky factor
 (a rank-deficient basis first drops each column whose pivot is at rounding
 level), so any number of regressands are fitted by one matrix product each.
@@ -24,7 +25,6 @@ import numpy as np
 from .errors import NoConvergenceError, NonFiniteError
 from .paths import node_major
 
-_DEGENERATE_TOL = 1e-12
 # tolerance and step cap of every per-node algebraic fixed point (the
 # first-order adjoint's p, which the linear decoupling shares, the second-order
 # P, Picard's inner y and Delta): each stops within FP_TOL * (1 + sup|.|) of its
@@ -75,13 +75,14 @@ def _product_chain(n_dims: int, degree: int) -> tuple:
     return tuple(chain)
 
 
-def _feature_rows(state_t: np.ndarray, mean: np.ndarray, degree: int, scale=None):
+def _feature_rows(state_t: np.ndarray, mean: np.ndarray, degree: int, scale=None, constant=False):
     """The (K, M) monomial feature rows of a transposed state (n, M), in
     ``monomial_exponents`` order, and the scale. The state is centred on
-    ``mean`` once, into rows 1..n; with ``scale`` None the scale is the
-    centred rows' own standard deviation (np.std's steps, so its bits; 1
-    where it vanishes). Rows 1..n are then standardized in place, and each
-    row of degree >= 2 is written as an earlier row times one coordinate."""
+    ``mean`` once, into rows 1..n; with ``scale`` None the scale is 1 on the
+    ``constant`` dimensions and the centred rows' own standard deviation on
+    the others (np.std's steps, so its bits; 1 where its square underflows).
+    Rows 1..n are then standardized in place, and each row of degree >= 2 is
+    written as an earlier row times one coordinate."""
     n, M = state_t.shape
     K = len(monomial_exponents(n, degree))
     rows = np.empty((max(K, n + 1), M))
@@ -90,7 +91,7 @@ def _feature_rows(state_t: np.ndarray, mean: np.ndarray, degree: int, scale=None
     np.subtract(state_t, mean[:, None], out=z)
     if scale is None:
         scale = np.sqrt(np.add.reduce(z * z, axis=1) / M)
-        scale = np.where(scale < _DEGENERATE_TOL, 1.0, scale)
+        scale[constant | (scale == 0.0)] = 1.0
     z /= scale[:, None]
     for k, parent, j in _product_chain(n, degree):
         np.multiply(rows[parent], z[j], out=rows[k])
@@ -117,8 +118,9 @@ class BasisTransform:
         return (rows if len(self.keep) == len(rows) else rows[self.keep]).T
 
     def design(self, state: np.ndarray) -> np.ndarray:
-        state = np.atleast_2d(np.asarray(state, dtype=float))
-        return self._kept(self._rows(np.ascontiguousarray(state.T)))
+        """The (M, K) design matrix at a state of M paths, (M,) or (M, ...)."""
+        state_t = np.ascontiguousarray(np.asarray(state, dtype=float).reshape(len(state), -1).T)
+        return self._kept(self._rows(state_t))
 
 
 class NodeBasis:
@@ -131,36 +133,36 @@ class NodeBasis:
     exactly symmetric. One rank rule picks the columns: intercept first and
     in order, a column is kept when its Cholesky pivot against the kept
     columns before it is above K M eps of its diagonal (K features, M paths),
-    the rounding level of a pivot (Higham, 1990). A constant state
-    dimension's columns are dropped unflagged, so a degenerate node (e.g. the
-    deterministic initial state) regresses to the plain cross-path mean; a
-    basis that drops any other column is rank-deficient (``ridge_used``).
-    A non-finite state raises ValueError.
+    the rounding level of a pivot (Higham, 1990). The state is M paths, (M,)
+    or (M, ...). A dimension is constant when hi - lo <= K M eps max(|lo|, |hi|),
+    the same bound made relative: its columns are dropped unflagged and its
+    scale is 1, so a degenerate node (e.g. the deterministic initial state)
+    regresses to the plain cross-path mean; a basis that drops any other column
+    is rank-deficient (``ridge_used``). A non-finite state raises ValueError.
     """
 
     def __init__(self, state: np.ndarray, degree: int = 2):
-        state = np.atleast_2d(np.asarray(state, dtype=float))
-        if state.ndim > 2:
-            state = state.reshape(state.shape[0], -1)
-        # every reduction and feature product runs along a contiguous (M,) row
-        state_t = np.ascontiguousarray(state.T)
+        # M paths of n dimensions, (M,) or (M, ...), as (n, M): every reduction
+        # and feature product runs along a contiguous (M,) row
+        state_t = np.ascontiguousarray(np.asarray(state, dtype=float).reshape(len(state), -1).T)
         self.degree = degree
-        self.state_lo = state_t.min(axis=1)
-        self.state_hi = state_t.max(axis=1)
+        lo, hi = self.state_lo, self.state_hi = state_t.min(axis=1), state_t.max(axis=1)
         mean = state_t.mean(axis=1)
         # a NaN or inf in a state column makes its mean non-finite
         if not np.isfinite(mean).all():
             raise ValueError("conditioning state has non-finite entries")
-        rows, scale = _feature_rows(state_t, mean, degree)
-        # a constant dimension's columns are multiples of earlier columns, which
-        # the rule drops: they go before the Gram matrix is formed
-        constant = self.state_lo == self.state_hi
-        keep = np.flatnonzero(monomial_exponents(len(state_t), degree) @ constant == 0)
+        exponents = monomial_exponents(len(state_t), degree)
+        # a dimension spread at rounding level of its size is constant: its columns
+        # are multiples of earlier ones, which go before the Gram matrix is formed
+        eps = np.finfo(float).eps
+        constant = hi - lo <= len(exponents) * state_t.shape[1] * eps * np.maximum(-lo, hi)
+        rows, scale = _feature_rows(state_t, mean, degree, constant=constant)
+        keep = np.flatnonzero(exponents @ constant == 0)
         self.transform = BasisTransform(mean, scale, degree, keep)
         self.phi = self.transform._kept(rows)
         gram = self.phi.T @ self.phi
         _require_finite(gram)
-        tol = len(gram) * len(self.phi) * np.finfo(float).eps
+        tol = len(gram) * len(self.phi) * eps
         try:
             lower = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
@@ -211,11 +213,9 @@ class NodeFit:
     state_hi: np.ndarray = None
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
-        state = np.atleast_2d(np.asarray(state, dtype=float))
-        if state.ndim > 2:
-            state = state.reshape(state.shape[0], -1)
         if self.state_lo is not None:
-            state = np.clip(state, self.state_lo, self.state_hi)
+            shape = np.shape(state)[1:]  # one path's: the bounds are per dimension
+            state = np.clip(state, self.state_lo.reshape(shape), self.state_hi.reshape(shape))
         phi = self.transform.design(state)
         if isinstance(self.coef, tuple):
             return tuple(phi @ c for c in self.coef)

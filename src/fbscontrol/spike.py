@@ -29,14 +29,16 @@ FIXED_POINT = "FIXED_POINT"
 class SpikeSpec:
     """A grid-aligned perturbation window [t0, t0 + eps) and the control applied
     on it. ``u_value`` is a point of the control set (constant spike) or an
-    open-loop panel; ``eps`` must be a multiple of the grid spacing (0 allowed:
-    the null spike)."""
+    open-loop panel; ``eps`` must be a non-negative multiple of the grid
+    spacing (0 is the null spike), and the window must lie in [0, T]."""
 
     t0: float
     eps: float
     u_value: object
 
     def window_nodes(self, grid) -> np.ndarray:
+        if self.eps < 0:
+            raise ValueError(f"eps={self.eps} is negative")
         i0 = grid.node_of(self.t0)
         width = int(round(self.eps / grid.dt))
         if not np.isclose(width * grid.dt, self.eps, rtol=0, atol=1e-9 * max(grid.T, 1.0)):

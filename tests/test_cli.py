@@ -73,6 +73,39 @@ def test_config_rejects_mp_nodes_below_one(tmp_path, capsys, mp_nodes):
     assert not (tmp_path / "o").exists()
 
 
+def _rejected_solver_field(tmp_path, capsys, field, value):
+    """Run ``solve`` on a config setting solver.<field>; returns its exit code
+    and whether the error names the field and no output was written."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"problem": {"name": "coupled_z", "alpha": 1.0},
+                               "solver": {"steps": 16, "paths": 50, field: value},
+                               "out_dir": str(tmp_path / "o")}))
+    rc = run(["solve", "--config", cfg])
+    err = capsys.readouterr().err
+    named = err.startswith(f"config error: config field 'solver.{field}'")
+    return rc, named and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("degree", [-1, -3])
+def test_config_rejects_negative_basis_degree(tmp_path, capsys, degree):
+    # -1 used to run as degree 0 and record -1 in resolved_config.json
+    assert _rejected_solver_field(tmp_path, capsys, "basis_degree", degree) == (1, True)
+
+
+@pytest.mark.parametrize("sweeps", [0, -1])
+def test_config_rejects_picard_max_below_one(tmp_path, capsys, sweeps):
+    # 0 used to exit 2 with "no convergence ... (0 sweeps)"
+    assert _rejected_solver_field(tmp_path, capsys, "picard_max", sweeps) == (1, True)
+
+
+@pytest.mark.parametrize("c_min", [0, 0.0, -1.0, float("nan")])
+def test_config_rejects_non_positive_c_min(tmp_path, capsys, c_min):
+    # -1 (or NaN, which JSON allows) switched off the invertibility guard; with
+    # alpha = 1, c_min = 0 died with a ZeroDivisionError traceback in
+    # benchmark_coupled_z
+    assert _rejected_solver_field(tmp_path, capsys, "c_min", c_min) == (1, True)
+
+
 @pytest.mark.parametrize("flags, field", [
     ([], "experiment.epsilon_ladder"),  # the default ladder reaches T 2^-8, under dt = T/16
     (["--epsilon-ladder", "0.25", "--spike-at", "0.875"], "experiment.epsilon_ladder"),

@@ -649,6 +649,22 @@ def test_decoupling_mixed_route_matches_all_paths():
     assert dec.phi.strides[0] != 0 and dec.ridge_nodes == dec_full.ridge_nodes
 
 
+def test_decoupling_reads_a_two_dimensional_cond_as_paths():
+    # an (M, N+1) cond is M paths of one dimension, as (M, N+1, 1) is: it used
+    # to reach NodeBasis as one path of M dimensions, and the all-paths passes
+    # raised a matmul ValueError
+    grid = fc.TimeGrid(1.0, 16)
+    bundle = fc.sample_brownian(grid, 50, fc.SeedSpec(19))
+    s = path_major_copy(linear_spec(grid, 50, bundle))
+    flat = LinearFbsdeSpec(**{**vars(s), "cond": bundle.levels()})
+    dec, dec_flat = solve_decoupling(s, bundle), solve_decoupling(flat, bundle)
+    for k in ("p", "q", "K1", "phi", "nu"):
+        assert getattr(dec_flat, k).tobytes() == getattr(dec, k).tobytes()
+    assert dec_flat.ridge_nodes == dec.ridge_nodes
+    for a, b in zip(solve_linear_fbsde(flat, bundle, dec_flat), solve_linear_fbsde(s, bundle, dec)):
+        assert a.values.tobytes() == b.values.tobytes()
+
+
 def test_linear_rejects_mismatched_bundle():
     # a 32-step spec on a 16-step bundle read its node-i coefficients at the
     # wrong times; a one-row pass would not notice a path-count mismatch either

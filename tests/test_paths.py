@@ -29,6 +29,18 @@ def test_grid_nodes():
         g.nodes[3] = 1.0
 
 
+@pytest.mark.parametrize("t", [1.5, -0.25, -1e-6, 1.0 + 1e-6, np.nan])
+def test_node_of_rejects_times_outside_the_horizon(t):
+    # node_of(1.5) used to be 48 on a 32-step grid of [0, 1]
+    with pytest.raises(ValueError, match="outside"):
+        fc.TimeGrid(1.0, 32).node_of(t)
+
+
+def test_node_of_keeps_the_end_points_within_tolerance():
+    g = fc.TimeGrid(1.0, 32)
+    assert g.node_of(-1e-12) == 0 and g.node_of(1.0 + 1e-12) == 32
+
+
 def test_sampling_deterministic():
     g = fc.TimeGrid(1.0, 16)
     a = fc.sample_brownian(g, 40, fc.SeedSpec(7))

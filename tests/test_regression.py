@@ -268,6 +268,105 @@ def test_fit_is_full_design_projection_on_dependent_states(case, degree):
     assert np.abs(nb.fit(target) - proj).max() <= bound
 
 
+def _normals(M=4000):
+    """Three independent standard normal samples x, z, e of M paths."""
+    return np.random.Generator(np.random.Philox(key=[26, 1])).normal(size=(3, M))
+
+
+# numpy's floating-point warnings as errors, as CI's -W error::RuntimeWarning makes them
+_STRICT = dict(over="raise", divide="raise", invalid="raise")
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e-160])
+def test_small_unit_dimension_is_standardized(s):
+    # (x, s z) is (x, z) in other units. With an absolute std floor, s z was
+    # left unstandardized: at 1e-100 the basis dropped (s z)^2 and was flagged
+    # (fit error 10.5), and at 1e-160 its inverse Gram overflowed in matmul
+    x, z, _ = _normals()
+    target = x ** 2 + z ** 2
+    with np.errstate(**_STRICT):
+        nb = NodeBasis(np.column_stack([x, s * z]), degree=2)
+        fitted = nb.fit(target)
+    assert np.array_equal(nb.transform.keep, np.arange(6)) and not nb.ridge_used
+    assert np.abs(fitted - target).max() <= 1e-12
+    assert np.linalg.cond(nb.phi.T @ nb.phi) < 20
+
+
+def test_rounding_level_spread_counts_as_constant():
+    # c (1 + 1e-15 e) spreads 7e-19 around c = -7.1e-4, as X2 does in the
+    # res_y2 basis at node 1 of coupled_z(0.1): it is constant, so only x's
+    # columns stay; an exact min == max test kept all 6 (kept-Gram condition inf)
+    x, _, e = _normals()
+    nb = NodeBasis(np.column_stack([x, -7.1e-4 * (1.0 + 1e-15 * e)]), degree=2)
+    assert np.array_equal(nb.transform.keep, [0, 1, 3]) and not nb.ridge_used
+    assert nb.transform.scale[1] == 1.0
+    assert np.abs(nb.fit(x ** 2) - x ** 2).max() <= 1e-12
+
+
+@pytest.mark.parametrize("constant", ["exact", "rounding-level spread"])
+def test_design_stays_finite_away_from_a_constant_dimension(constant):
+    # a constant dimension's scale is 1: its own std (1e-205 for the rounding
+    # spread) would put a state 1.0 away at 1e205 and its square at inf
+    x, _, e = _normals()
+    c = np.full_like(x, 0.7) if constant == "exact" else 1e-190 * (1.0 + 1e-15 * e)
+    state = np.column_stack([x, c])
+    nb = NodeBasis(state, degree=2)
+    probe = state[:7] + np.array([0.0, 1.0])
+    with np.errstate(**_STRICT):
+        phi = nb.transform.design(probe)
+        values = NodeFit(nb.transform, nb.coefficients(x ** 2))(probe)
+    assert np.array_equal(phi, nb.transform.design(state[:7]))
+    assert np.all(np.isfinite(values))
+
+
+@st.composite
+def scaled_states(draw):
+    """A state of 1 to 3 dimensions of 300 paths (a seed, not the values, is
+    drawn), each a normal sample, a constant, a constant times 1 + 1e-15
+    noise or a copy of the first, with a power of ten per dimension in
+    10^[-150, 150] (z^2 of a smaller standardized unit underflows)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["normal", "constant", "rounding", "copy"]),
+                              min_size=1, max_size=3)):
+        if kind == "normal" or (kind == "copy" and not cols):
+            cols.append(rng.normal(size=300))
+        elif kind == "copy":
+            cols.append(cols[0].copy())
+        else:
+            c = rng.uniform(-2.0, 2.0)
+            cols.append(c * (1.0 + (1e-15 if kind == "rounding" else 0.0) * rng.normal(size=300)))
+    state = np.column_stack(cols)
+    powers = draw(st.lists(st.integers(-150, 150), min_size=len(cols), max_size=len(cols)))
+    return state, 10.0 ** np.array(powers, dtype=float), (state ** 2).sum(axis=1) + rng.normal(size=300)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(scaled_states(), st.integers(1, 3))
+def test_basis_is_scale_free(case, degree):
+    # a state in other units per dimension keeps the same columns, the same
+    # flag and the same fit
+    state, scale, target = case
+    nb = NodeBasis(state, degree)
+    with np.errstate(**_STRICT):
+        scaled = NodeBasis(state * scale, degree)
+        fitted = scaled.fit(target)
+    assert np.array_equal(scaled.transform.keep, nb.transform.keep)
+    assert scaled.ridge_used == nb.ridge_used
+    assert np.abs(fitted - nb.fit(target)).max() <= 1e-9 * (1.0 + np.abs(target).max())
+
+
+def test_one_dimensional_state_is_paths():
+    # a 1-D (M,) state is M paths of one dimension, as (M, 1) is; it used to
+    # be read as one path of M dimensions
+    x = _normals(50)[0]
+    nb, column = NodeBasis(x, degree=2), NodeBasis(x[:, None], degree=2)
+    assert nb.phi.shape == (50, 3) and nb.phi.tobytes() == column.phi.tobytes()
+    assert nb.transform.design(x[:5]).tobytes() == column.phi[:5].tobytes()
+    fit = NodeFit(nb.transform, nb.coefficients(x ** 2), nb.state_lo, nb.state_hi)
+    assert np.abs(fit(x) - x ** 2).max() <= 1e-12
+
+
 def _path_major_reference(basis_at, terminal, dB, dt, node):
     """The backward regression loop written directly on (M, N+1, ...) panels."""
     M, N = dB.shape

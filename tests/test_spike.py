@@ -24,6 +24,20 @@ def test_window_alignment():
     assert len(fc.SpikeSpec(0.25, 0.0, 1.0).window_nodes(grid)) == 0
 
 
+def test_window_before_zero_is_rejected():
+    # its nodes used to be [-8..-1], so the mask marked nodes 25-32: the end
+    # of the horizon, node N included
+    with pytest.raises(ValueError, match="outside"):
+        fc.SpikeSpec(-0.25, 0.25, 1.0).window_nodes(fc.TimeGrid(1.0, 32))
+
+
+def test_negative_eps_is_rejected():
+    # it used to give an empty window, a silent null spike
+    spike = fc.SpikeSpec(0.25, -0.125, 1.0)
+    with pytest.raises(ValueError, match="negative"):
+        spike.window_mask(fc.TimeGrid(1.0, 16))
+
+
 def test_spiked_control_panel(cz_small):
     bench, _, sol, _, _ = cz_small
     grid = sol.X.grid
