@@ -115,6 +115,10 @@ class RunConfig:
                 raise ConfigError(f"solver.{name}", f"must be >= {low}, got {val}")
         if not self.solver.c_min > 0:  # NaN too
             raise ConfigError("solver.c_min", f"must be positive, got {self.solver.c_min}")
+        for name in ("T", "x0", "sigma0", "alpha"):   # JSON allows NaN and Infinity
+            val = getattr(self.problem, name)
+            if not np.isfinite(val):
+                raise ConfigError(f"problem.{name}", f"must be finite, got {val}")
         if self.problem.T <= 0:
             raise ConfigError("problem.T", "must be positive")
         if self.problem.name not in ("lq", "coupled_z"):

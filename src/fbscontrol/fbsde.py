@@ -310,7 +310,8 @@ class DecouplingData:
     decouples a linear FBSDE, with the K1 panel and the invertibility margin.
     Its panels are read-only (M, N+1, ...) views; a pass solved on one path row
     (see ``solve_decoupling``) gives stride-0 broadcasts of that row, with q
-    exactly 0, and ``ridge_nodes`` (the nodes whose cond basis was
+    exactly 0, and solves that repeat the one-row (p, q, K1) pass's inputs
+    share its read-only rows. ``ridge_nodes`` (the nodes whose cond basis was
     rank-deficient) is empty when no pass built cond bases."""
 
     p: np.ndarray      # (M, N+1, n)
@@ -325,6 +326,14 @@ class DecouplingData:
 
 def _dot(a, b):
     return np.einsum("mi,mi->m", a, b)
+
+
+def _one_row(*arrays):
+    """The arrays, cut to their first path row when all are constant along paths
+    (stride 0): terms of them then run once, with the same float operations."""
+    if any(a.strides[0] for a in arrays):
+        return arrays
+    return tuple(a[:1] for a in arrays)
 
 
 def _margin_floor(mbar, c_min, where):
@@ -390,6 +399,25 @@ def _solve_first_order(basis_at, terminal, dB, dt, parts_at, c_min):
     return p, q, K1, min(margin, mm), max_iters
 
 
+# the last one-row (p, q, K1) pass, as (key, (p, q, K1, margin))
+_row_pass = (None, None)
+
+
+def _first_order_row(s, dB, basis_at, c_min):
+    """The one-row (p, q, K1, margin) of ``s``: a repeat of every input of the
+    last such pass returns its read-only rows; a pass that raises is not kept."""
+    global _row_pass
+    key = ([(getattr(s, k).tobytes(), getattr(s, k).shape) for k in _FIRST_ORDER],
+           dB.tobytes(), s.grid, c_min, FP_TOL, FP_MAX)
+    if (entry := _row_pass)[0] != key:   # read once: another thread may replace it
+        p, q, K1, margin, _ = _solve_first_order(basis_at, s.kappa, dB, s.grid.dt,
+                                                 s.partials, c_min)
+        for a in (p, q, K1):
+            a.flags.writeable = False
+        entry = _row_pass = key, (p, q, K1, margin)
+    return entry[1]
+
+
 def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
                      degree: int = 2, c_min: float = 0.1) -> DecouplingData:
     """Solve the (p, q) backward pair, which is the first-order adjoint of the
@@ -404,7 +432,10 @@ def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
     L1, L2, L3 and varsigma are too; otherwise a pass runs on all M paths,
     and only then builds bases on ``lspec.cond``. One row solves row 0 of every
     input on one intercept-only basis, which returns its regressand: p is the
-    same on every path, and q is exactly 0.
+    same on every path, and q is exactly 0. The last one-row (p, q, K1) pass is
+    kept: a call that repeats every input it reads (a superposition triple's
+    shared coefficients on one bundle, at the same c_min, FP_TOL and FP_MAX)
+    reuses its read-only rows, which then back the p, q and K1 of both results.
 
     ``c_min`` is the floor on the margin |1 - <p, c2>|: it is checked here at
     every node and kept on the result, where ``solve_linear_fbsde`` reads it.
@@ -434,7 +465,8 @@ def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
                bundle.dB[:1], lambda i: one)
 
     s, dB, basis_at = row
-    p, q, K1, margin, _ = _solve_first_order(basis_at, s.kappa, dB, dt, s.partials, c_min)
+    p, q, K1, margin = (_solve_first_order(basis_at, s.kappa, dB, dt, s.partials, c_min)[:4]
+                        if row is full else _first_order_row(s, dB, basis_at, c_min))
     p, q, K1 = widen(p), widen(q), widen(K1)
 
     s, dB, basis_at = full if any(lspec.panel(name).strides[0] for name in _FORCINGS) else row
@@ -442,9 +474,11 @@ def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
     # scalar pair: per-node equation phi = m + (c0 + c1 phi) dt solved exactly
     def phi_node(i, nb, phi_next, m, nv):
         pi, qi = p[:len(dB), i], q[:len(dB), i]
-        mbar = 1.0 - _dot(pi, s.c2[:, i])
-        gsum = (s.c3[:, i] + _dot(pi, s.c1[:, i]) + _dot(qi, s.c2[:, i])) / mbar
-        c1 = s.b3[:, i] + _dot(pi, s.b1[:, i]) + _dot(qi, s.b2[:, i]) + gsum * _dot(pi, s.b2[:, i])
+        pr, qr, b1r, b2r, b3r, c1r, c2r, c3r = _one_row(pi, qi, *(getattr(s, k)[:, i] for k in (
+            "b1", "b2", "b3", "c1", "c2", "c3")))
+        mbar = 1.0 - _dot(pr, c2r)
+        gsum = (c3r + _dot(pr, c1r) + _dot(qr, c2r)) / mbar
+        c1 = b3r + _dot(pr, b1r) + _dot(qr, b2r) + gsum * _dot(pr, b2r)
         c0 = (s.L3[:, i] + _dot(pi, s.L1[:, i]) + _dot(qi, s.L2[:, i])
               + gsum * (_dot(pi, s.L2[:, i]) + nv))
         return (m + c0 * dt) / (1.0 - c1 * dt)
@@ -483,8 +517,9 @@ def solve_linear_fbsde(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
     X[:, 0] = lspec.x0
     for i in range(N + 1):
         x, p = X[:, i], dec.p[:, i]
-        w = (_dot(p, lspec.b2[:, i]) * dec.phi[:, i] + _dot(p, lspec.L2[:, i])
-             + dec.nu[:, i]) / (1.0 - _dot(p, lspec.c2[:, i]))
+        pr, b2, phi, L2, nu, c2 = _one_row(p, lspec.b2[:, i], dec.phi[:, i], lspec.L2[:, i],
+                                           dec.nu[:, i], lspec.c2[:, i])
+        w = (_dot(pr, b2) * phi + _dot(pr, L2) + nu) / (1.0 - _dot(pr, c2))
         Y[:, i] = y = _dot(p, x) + dec.phi[:, i]
         Z[:, i] = z = _dot(dec.K1[:, i], x) + w
         if i == N:

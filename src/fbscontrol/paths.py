@@ -31,8 +31,8 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("horizon T must be positive")
+        if not 0 < self.T < np.inf:   # NaN too
+            raise ValueError("horizon T must be positive and finite")
         if self.N < 2:
             raise ValueError("step count N must be at least 2")
 

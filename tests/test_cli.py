@@ -106,6 +106,19 @@ def test_config_rejects_non_positive_c_min(tmp_path, capsys, c_min):
     assert _rejected_solver_field(tmp_path, capsys, "c_min", c_min) == (1, True)
 
 
+@pytest.mark.parametrize("field", ["T", "x0", "sigma0", "alpha"])
+def test_config_rejects_non_finite_problem_field(tmp_path, capsys, field):
+    # json.load accepts NaN, which every range check passed: the run wrote
+    # resolved_config.json and then failed on a non-finite X
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"problem": {"name": "coupled_z", field: float("nan")},
+                               "solver": {"steps": 16, "paths": 100},
+                               "out_dir": str(tmp_path / "o")}))
+    assert run(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: config field 'problem.{field}'")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flags, field", [
     ([], "experiment.epsilon_ladder"),  # the default ladder reaches T 2^-8, under dt = T/16
     (["--epsilon-ladder", "0.25", "--spike-at", "0.875"], "experiment.epsilon_ladder"),

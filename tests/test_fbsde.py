@@ -649,6 +649,94 @@ def test_decoupling_mixed_route_matches_all_paths():
     assert dec.phi.strides[0] != 0 and dec.ridge_nodes == dec_full.ridge_nodes
 
 
+def count_first_order_passes(monkeypatch):
+    """Clear the one-row pass memo and count the calls of _solve_first_order."""
+    calls = []
+    solve = fbscontrol.fbsde._solve_first_order
+    monkeypatch.setattr(fbscontrol.fbsde, "_row_pass", (None, None))
+    monkeypatch.setattr(fbscontrol.fbsde, "_solve_first_order",
+                        lambda *a: calls.append(1) or solve(*a))
+    return calls
+
+
+def first_order_bytes(dec):
+    return [getattr(dec, k).tobytes() for k in ("p", "q", "K1")] + [dec.margin]
+
+
+def test_decoupling_reuses_the_last_one_row_pass(monkeypatch):
+    # a superposition triple shares one coefficient set on one bundle: the
+    # second solve reuses the first's (p, q, K1) rows instead of solving again
+    grid = fc.TimeGrid(1.0, 32)
+    M = 300
+    bundle = fc.sample_brownian(grid, M, fc.SeedSpec(20))
+    calls = count_first_order_passes(monkeypatch)
+    dec_a = solve_decoupling(linear_spec(grid, M, bundle), bundle)
+    dec_b = solve_decoupling(linear_spec(grid, M, bundle, L1=-0.2, vs=0.1, x0=0.5), bundle)
+    assert len(calls) == 1
+    assert first_order_bytes(dec_b) == first_order_bytes(dec_a)
+    rows = fbscontrol.fbsde._row_pass[1][:3]
+    assert not any(r.flags.writeable for r in rows)
+    assert np.shares_memory(dec_b.p, rows[0]) and not dec_b.p.flags.writeable
+    # and a fresh pass gives the same bits
+    monkeypatch.setattr(fbscontrol.fbsde, "_row_pass", (None, None))
+    assert first_order_bytes(solve_decoupling(linear_spec(grid, M, bundle), bundle)) \
+        == first_order_bytes(dec_a)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("change", ["c2", "kappa", "bundle", "FP_TOL"])
+def test_decoupling_recomputes_the_one_row_pass_on_other_inputs(monkeypatch, change):
+    grid = fc.TimeGrid(1.0, 32)
+    M = 300
+    bundle = fc.sample_brownian(grid, M, fc.SeedSpec(21))
+    s = linear_spec(grid, M, bundle)
+    calls = count_first_order_passes(monkeypatch)
+    dec = solve_decoupling(s, bundle)
+    if change == "bundle":
+        bundle = fc.sample_brownian(grid, M, fc.SeedSpec(22))
+    elif change == "FP_TOL":
+        monkeypatch.setattr(fbscontrol.fbsde, "FP_TOL", 1e-15)
+    else:
+        setattr(s, change, np.array([0.25]))   # reassigned after construction
+    again = solve_decoupling(s, bundle)
+    assert len(calls) == 2
+    if change in ("c2", "kappa"):
+        assert again.p.tobytes() != dec.p.tobytes()
+
+
+def test_decoupling_keeps_no_pass_that_raises(monkeypatch):
+    s, bundle = margin_guard_spec()
+    calls = count_first_order_passes(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(InvertibilityError, match="first-order adjoint node 31, path 0"):
+            solve_decoupling(s, bundle)
+    assert len(calls) == 2 and fbscontrol.fbsde._row_pass == (None, None)
+
+
+def test_path_constant_node_terms_on_one_row_are_bit_identical(monkeypatch):
+    # phi_node's mbar, gsum and c1 and the forward loop's W are formed on one
+    # row when their inputs are path-constant; on all M rows every output has
+    # the same bits
+    grid = fc.TimeGrid(1.0, 32)
+    M = 300
+    bundle = fc.sample_brownian(grid, M, fc.SeedSpec(23))
+    B = bundle.levels()
+    s = linear_spec(grid, M, bundle)
+    mixed = linear_spec(grid, M, bundle)
+    mixed.L2 = (0.2 - 0.4 * B)[:, :, None]
+    mixed.varsigma = 0.1 + 0.5 * B[:, -1]
+
+    def outputs(spec):
+        dec = solve_decoupling(spec, bundle)
+        return ([getattr(dec, k).tobytes() for k in ("p", "q", "K1", "phi", "nu")]
+                + [a.values.tobytes() for a in solve_linear_fbsde(spec, bundle, dec)])
+
+    specs = (s, mixed, two_dim_spec(grid, M, bundle, *TWO_DIM_DATA["A"]))
+    cut = [outputs(spec) for spec in specs]
+    monkeypatch.setattr(fbscontrol.fbsde, "_one_row", lambda *arrays: arrays)
+    assert [outputs(spec) for spec in specs] == cut
+
+
 def test_decoupling_reads_a_two_dimensional_cond_as_paths():
     # an (M, N+1) cond is M paths of one dimension, as (M, N+1, 1) is: it used
     # to reach NodeBasis as one path of M dimensions, and the all-paths passes
@@ -758,6 +846,7 @@ def test_decoupling_default_tolerance_bounds_distance_to_limit(monkeypatch):
     p_tight = solve_decoupling(s, bundle).p
     floor = 1e-12 * (1.0 + np.abs(p_tight).max())
     gap = np.abs(p - p_tight).max(axis=(0, 2))
+    assert gap.max() > 0   # the tight solve ran, not a reuse of the default one
     assert gap[grid.N - 1] <= floor
     assert gap.max() <= grid.N * floor
 

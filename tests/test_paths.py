@@ -29,6 +29,13 @@ def test_grid_nodes():
         g.nodes[3] = 1.0
 
 
+@pytest.mark.parametrize("T", [float("nan"), float("inf")])
+def test_grid_rejects_a_non_finite_horizon(T):
+    # a NaN horizon used to pass the positivity check and give dt NaN
+    with pytest.raises(ValueError, match="horizon T"):
+        fc.TimeGrid(T, 8)
+
+
 @pytest.mark.parametrize("t", [1.5, -0.25, -1e-6, 1.0 + 1e-6, np.nan])
 def test_node_of_rejects_times_outside_the_horizon(t):
     # node_of(1.5) used to be 48 on a 32-step grid of [0, 1]
