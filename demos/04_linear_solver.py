@@ -58,10 +58,8 @@ for stream in (5, 6):
     ratios = []
     for _ in range(8):
         a = rng.uniform(-0.5, 0.5, size=4)
-        s = make(0.0, 0.0, 0.0, 0.0, 0.6)
-        s.L1 = (a[0] + a[1] * B)[:, :, None]
-        s.L2 = (a[2] + a[3] * B)[:, :, None]
-        s.varsigma = a[0] + 0.5 * B[:, -1]
+        s = make((a[0] + a[1] * B)[:, :, None], (a[2] + a[3] * B)[:, :, None], 0.0,
+                 a[0] + 0.5 * B[:, -1], 0.6)
         _, (X, Y, Z) = run(s)
         ratios.append(fc.check_lbeta_estimate(s, X, Y, Z, beta=2.0).ratio)
     maxima.append(max(ratios))

@@ -294,11 +294,8 @@ class AcceptanceSession:
             ratios = []
             for _ in range(20):
                 a = rng.uniform(-0.5, 0.5, size=6)
-                s = make(0.0, 0.0, 0.0, 0.0, 0.6)
-                s.L1 = (a[0] + a[1] * B)[:, :, None]
-                s.L2 = (a[2] + a[3] * B)[:, :, None]
-                s.L3 = a[4] + a[5] * B
-                s.varsigma = a[0] + 0.5 * B[:, -1]
+                s = make((a[0] + a[1] * B)[:, :, None], (a[2] + a[3] * B)[:, :, None],
+                         a[4] + a[5] * B, a[0] + 0.5 * B[:, -1], 0.6)
                 X, Y, Z = run(s)
                 ratios.append(check_lbeta_estimate(s, X, Y, Z, beta=2.0).ratio)
             return np.array(ratios)

@@ -6,7 +6,7 @@ forward-backward systems (with its L^beta estimate check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -243,7 +243,12 @@ _FIRST_ORDER = ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3", "kappa")
 _FORCINGS = ("L1", "L2", "L3", "varsigma")
 
 
-@dataclass
+def _path_rows(a):
+    """``a``, or its first path row where it is constant along paths (stride 0)."""
+    return a if a.strides[0] else a[:1]
+
+
+@dataclass(frozen=True)
 class LinearFbsdeSpec:
     """Linear FBSDE with bounded coefficient panels and exogenous forcings.
 
@@ -254,8 +259,10 @@ class LinearFbsdeSpec:
     Coefficients may be constants, deterministic (N+1,...) arrays, or adapted
     (M, N+1, ...) panels; ``cond`` is the conditioning panel for the backward
     regressions, (M, N+1) or (M, N+1, d) (Brownian levels, ``bundle.levels()``,
-    are a good default for B-adapted data).
-    """
+    are a good default for B-adapted data). A spec is frozen and read once: when
+    it is made (also by ``dataclasses.replace``), each coefficient and forcing
+    is stored as its ``panel``, and a1 ... c3 and cond must be finite (else
+    ValueError)."""
 
     grid: TimeGrid
     M: int
@@ -279,21 +286,21 @@ class LinearFbsdeSpec:
 
     def __post_init__(self):
         for name in _FIRST_ORDER + _FORCINGS:
-            setattr(self, name, self.panel(name))
-        self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+            object.__setattr__(self, name, self.panel(name))
+        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
         for name in ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3", "cond"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"field {name} has non-finite entries")
 
     def panel(self, name):
-        """Field ``name`` as a view of its panel shape: (M, N+1, ...) for the
-        coefficients and forcings, (M, ...) for kappa and varsigma. A constant
-        or deterministic field has stride 0 on the path axis."""
+        """Field ``name`` as a read-only (M, N+1, ...) view, (M, ...) for kappa
+        and varsigma, with one path row for M where it is path-constant (a
+        constant, a deterministic array, or stride 0 on the path axis)."""
         n = self.n
         value = {"a1": (n, n), "a2": (n, n), "b3": (), "c3": (), "L3": (), "varsigma": ()}
         nodes = () if name in ("kappa", "varsigma") else (self.grid.N + 1,)
-        return np.broadcast_to(np.asarray(getattr(self, name), dtype=float),
-                               (self.M,) + nodes + value.get(name, (n,)))
+        return _path_rows(np.broadcast_to(np.asarray(getattr(self, name), dtype=float),
+                                          (self.M,) + nodes + value.get(name, (n,))))
 
     def partials(self, i):
         """Node-i coefficients under the first-order adjoint's names: the
@@ -308,11 +315,12 @@ class LinearFbsdeSpec:
 class DecouplingData:
     """Solution of the backward pair (p, q) and scalar pair (phi, nu) that
     decouples a linear FBSDE, with the K1 panel and the invertibility margin.
-    Its panels are read-only (M, N+1, ...) views; a pass solved on one path row
-    (see ``solve_decoupling``) gives stride-0 broadcasts of that row, with q
-    exactly 0, and solves that repeat the one-row (p, q, K1) pass's inputs
-    share its read-only rows. ``ridge_nodes`` (the nodes whose cond basis was
-    rank-deficient) is empty when no pass built cond bases."""
+    Its panels are read-only (M, N+1, ...) views at every path extent of the
+    spec; a pass solved on one path row (see ``solve_decoupling``) gives
+    stride-0 broadcasts of that row, which ``solve_linear_fbsde`` reads as the
+    row, with q exactly 0, and solves that repeat the one-row (p, q, K1) pass's
+    inputs share its read-only rows. ``ridge_nodes`` (the nodes whose cond
+    basis was rank-deficient) is empty when no pass built cond bases."""
 
     p: np.ndarray      # (M, N+1, n)
     q: np.ndarray
@@ -326,14 +334,6 @@ class DecouplingData:
 
 def _dot(a, b):
     return np.einsum("mi,mi->m", a, b)
-
-
-def _one_row(*arrays):
-    """The arrays, cut to their first path row when all are constant along paths
-    (stride 0): terms of them then run once, with the same float operations."""
-    if any(a.strides[0] for a in arrays):
-        return arrays
-    return tuple(a[:1] for a in arrays)
 
 
 def _margin_floor(mbar, c_min, where):
@@ -419,23 +419,22 @@ def _first_order_row(s, dB, basis_at, c_min):
 
 
 def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
-                     degree: int = 2, c_min: float = 0.1) -> DecouplingData:
+                     c_min: float = 0.1) -> DecouplingData:
     """Solve the (p, q) backward pair, which is the first-order adjoint of the
     linear system (nonlinear in p through K1), and then the scalar (phi, nu)
-    pair on the same node bases (of total degree ``degree``), whose affine
-    per-node equation is solved exactly so the map from forcings to (phi, nu)
-    stays linear.
+    pair on the same node bases, whose affine per-node equation is solved
+    exactly so the map from forcings to (phi, nu) stays linear.
 
-    The (p, q, K1) pass runs on one path row when a1 ... c3 and kappa are
-    path-constant (stride 0 on the path axis of what each field holds at call
-    time, as constant and deterministic fields have), the (phi, nu) pass when
-    L1, L2, L3 and varsigma are too; otherwise a pass runs on all M paths,
-    and only then builds bases on ``lspec.cond``. One row solves row 0 of every
-    input on one intercept-only basis, which returns its regressand: p is the
-    same on every path, and q is exactly 0. The last one-row (p, q, K1) pass is
-    kept: a call that repeats every input it reads (a superposition triple's
-    shared coefficients on one bundle, at the same c_min, FP_TOL and FP_MAX)
-    reuses its read-only rows, which then back the p, q and K1 of both results.
+    A pass runs on one path row when every field it reads has one row (see
+    ``LinearFbsdeSpec.panel``): the (p, q, K1) pass reads a1 ... c3 and kappa,
+    the (phi, nu) pass these and L1, L2, L3 and varsigma. One row solves row 0
+    of every input on one intercept-only basis, which returns its regressand:
+    p is the same on every path, and q is exactly 0. Any other pass runs on all
+    M paths, on degree-2 node bases of ``lspec.cond``, built only then. The
+    last one-row (p, q, K1) pass is kept: a call that repeats every input it
+    reads (a superposition triple's shared coefficients on one bundle, at the
+    same c_min, FP_TOL and FP_MAX) reuses its read-only rows, which then back
+    the p, q and K1 of both results.
 
     ``c_min`` is the floor on the margin |1 - <p, c2>|: it is checked here at
     every node and kept on the result, where ``solve_linear_fbsde`` reads it.
@@ -450,41 +449,32 @@ def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
 
     def cond_basis(i):
         if bases[i] is None:
-            bases[i] = NodeBasis(lspec.cond[:, i], degree)
+            bases[i] = NodeBasis(lspec.cond[:, i], 2)
         return bases[i]
 
-    def widen(a):
-        return np.broadcast_to(a, (M,) + a.shape[1:])
-
-    # (spec, increments, basis_at) of a pass on all paths, and of one on row 0
-    full = row = lspec, bundle.dB, cond_basis
-    if not any(lspec.panel(name).strides[0] for name in _FIRST_ORDER):
+    dB, basis_at = bundle.dB, cond_basis
+    if all(len(getattr(lspec, k)) == 1 for k in _FIRST_ORDER):
         one = NodeBasis(np.zeros(1), 0)
-        row = (replace(lspec, M=1, cond=lspec.cond[:1],
-                       **{k: lspec.panel(k)[:1] for k in _FIRST_ORDER + _FORCINGS}),
-               bundle.dB[:1], lambda i: one)
+        p, q, K1, margin = _first_order_row(lspec, dB[:1], lambda i: one, c_min)
+        if all(len(getattr(lspec, k)) == 1 for k in _FORCINGS):
+            dB, basis_at = dB[:1], lambda i: one
+    else:
+        p, q, K1, margin, _ = _solve_first_order(basis_at, lspec.kappa, dB, dt, lspec.partials, c_min)
 
-    s, dB, basis_at = row
-    p, q, K1, margin = (_solve_first_order(basis_at, s.kappa, dB, dt, s.partials, c_min)[:4]
-                        if row is full else _first_order_row(s, dB, basis_at, c_min))
-    p, q, K1 = widen(p), widen(q), widen(K1)
-
-    s, dB, basis_at = full if any(lspec.panel(name).strides[0] for name in _FORCINGS) else row
-
-    # scalar pair: per-node equation phi = m + (c0 + c1 phi) dt solved exactly
+    # scalar pair: per-node equation phi = m + (e0 + e1 phi) dt solved exactly;
+    # broadcasting forms the terms of one-row inputs on one row
     def phi_node(i, nb, phi_next, m, nv):
-        pi, qi = p[:len(dB), i], q[:len(dB), i]
-        pr, qr, b1r, b2r, b3r, c1r, c2r, c3r = _one_row(pi, qi, *(getattr(s, k)[:, i] for k in (
-            "b1", "b2", "b3", "c1", "c2", "c3")))
-        mbar = 1.0 - _dot(pr, c2r)
-        gsum = (c3r + _dot(pr, c1r) + _dot(qr, c2r)) / mbar
-        c1 = b3r + _dot(pr, b1r) + _dot(qr, b2r) + gsum * _dot(pr, b2r)
-        c0 = (s.L3[:, i] + _dot(pi, s.L1[:, i]) + _dot(qi, s.L2[:, i])
-              + gsum * (_dot(pi, s.L2[:, i]) + nv))
-        return (m + c0 * dt) / (1.0 - c1 * dt)
+        pi, qi = p[:, i], q[:, i]
+        b1, b2, b3, c1, c2, c3, L1, L2, L3 = (getattr(lspec, k)[:, i] for k in (
+            "b1", "b2", "b3", "c1", "c2", "c3", "L1", "L2", "L3"))
+        gsum = (c3 + _dot(pi, c1) + _dot(qi, c2)) / (1.0 - _dot(pi, c2))
+        e1 = b3 + _dot(pi, b1) + _dot(qi, b2) + gsum * _dot(pi, b2)
+        e0 = L3 + _dot(pi, L1) + _dot(qi, L2) + gsum * (_dot(pi, L2) + nv)
+        return (m + e0 * dt) / (1.0 - e1 * dt)
 
-    phi, nu, _ = _backward_regression(basis_at, s.varsigma, dB, dt, phi_node, "decoupling phi")
-    return DecouplingData(p, q, K1, widen(phi), widen(nu), float(margin), c_min,
+    phi, nu, _ = _backward_regression(basis_at, lspec.varsigma, dB, dt, phi_node, "decoupling phi")
+    p, q, K1, phi, nu = (np.broadcast_to(a, (M,) + a.shape[1:]) for a in (p, q, K1, phi, nu))
+    return DecouplingData(p, q, K1, phi, nu, float(margin), c_min,
                           _ridge_nodes(bases) if bases[0] is not None else [])
 
 
@@ -515,13 +505,14 @@ def solve_linear_fbsde(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
     X = node_major((M, N + 1, n))
     Y, Z = node_major((M, N + 1)), node_major((M, N + 1))
     X[:, 0] = lspec.x0
+    # each stride-0 panel cut to its row: W runs on one row where all it reads is one
+    p, K1, phi, nu = (_path_rows(a) for a in (dec.p, dec.K1, dec.phi, dec.nu))
     for i in range(N + 1):
-        x, p = X[:, i], dec.p[:, i]
-        pr, b2, phi, L2, nu, c2 = _one_row(p, lspec.b2[:, i], dec.phi[:, i], lspec.L2[:, i],
-                                           dec.nu[:, i], lspec.c2[:, i])
-        w = (_dot(pr, b2) * phi + _dot(pr, L2) + nu) / (1.0 - _dot(pr, c2))
-        Y[:, i] = y = _dot(p, x) + dec.phi[:, i]
-        Z[:, i] = z = _dot(dec.K1[:, i], x) + w
+        x, pi = X[:, i], p[:, i]
+        w = ((_dot(pi, lspec.b2[:, i]) * phi[:, i] + _dot(pi, lspec.L2[:, i]) + nu[:, i])
+             / (1.0 - _dot(pi, lspec.c2[:, i])))
+        Y[:, i] = y = _dot(pi, x) + phi[:, i]
+        Z[:, i] = z = _dot(K1[:, i], x) + w
         if i == N:
             break
         drift = (np.einsum("mij,mj->mi", lspec.a1[:, i], x) + lspec.b1[:, i] * y[:, None]
@@ -557,6 +548,7 @@ def check_lbeta_estimate(lspec: LinearFbsdeSpec, X: ProcessPanel, Y: ProcessPane
     drift_part = ((l1[:, :-1] + np.abs(lspec.L3[:, :-1])).sum(axis=1) * dt) ** beta
     diff_part = (l2sq[:, :-1].sum(axis=1) * dt) ** (beta / 2.0)
     x0_norm = float(np.sqrt((lspec.x0 ** 2).sum()))
-    rhs = float(np.mean(x0_norm ** beta + np.abs(lspec.varsigma) ** beta + drift_part + diff_part))
+    per_path = x0_norm ** beta + np.abs(lspec.varsigma) ** beta + drift_part + diff_part
+    rhs = float(np.mean(np.broadcast_to(per_path, (lspec.M,))))   # over M paths, one-row data too
     ratio = lhs / rhs if rhs > 0 else 0.0
     return EstimateReport(float(lhs), rhs, float(ratio), beta)

@@ -287,8 +287,10 @@ class ProblemSpec:
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if len(self.x0) != self.n:
             raise ValueError("x0 length must equal n")
-        if self.horizon_T <= 0:
-            raise ValueError("horizon_T must be positive")
+        if not 0 < self.horizon_T < np.inf:
+            raise ValueError("horizon_T must be positive and finite")
+        if not np.isfinite(self.x0).all():
+            raise ValueError("x0 must be finite")
         if self.sigma_form == LINEAR_IN_Z and (self.A_eval is None or self.sigma1_eval is None):
             raise ValueError("LINEAR_IN_Z requires A_eval and sigma1_eval")
 
@@ -501,6 +503,8 @@ def benchmark_coupled_z(alpha: float, x0: float = 1.0, T: float = 1.0,
     the affine form Y = X + (u0 + u0^2/2)(1 - e^(t-T)), which the tests use as
     an independent oracle; the reference control is u = -1.
     """
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     margin = abs(1.0 - alpha)
     if margin < c_min:
         raise InvertibilityError(margin, c_min, where="benchmark_coupled_z construction")

@@ -35,6 +35,7 @@ FP_MAX = 20
 # ill-conditioned node bases (degree 6 for n = 1, degree 2 for n = 2) a fit
 # moves by 1e-11 to 2e-10 under last-bit changes of its regressand
 FIT_TOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 @cache
@@ -75,12 +76,15 @@ def _product_chain(n_dims: int, degree: int) -> tuple:
     return tuple(chain)
 
 
-def _feature_rows(state_t: np.ndarray, mean: np.ndarray, degree: int, scale=None, constant=False):
+def _feature_rows(state_t, mean, degree, scale=None, constant=False, size=0.0):
     """The (K, M) monomial feature rows of a transposed state (n, M), in
     ``monomial_exponents`` order, and the scale. The state is centred on
-    ``mean`` once, into rows 1..n; with ``scale`` None the scale is 1 on the
-    ``constant`` dimensions and the centred rows' own standard deviation on
-    the others (np.std's steps, so its bits; 1 where its square underflows).
+    ``mean`` once, into rows 1..n; with ``scale`` None the scale is
+    max(1, ``size``) on the ``constant`` dimensions and the centred rows' own
+    standard deviation on the others: np.std's steps on the row times 2^-e,
+    scaled back, with 2^e the power of two of its ``size`` max(|lo|, |hi|).
+    That scaling is exact, so these are np.std's bits wherever its squares are
+    in range, and at any scale of the state no square overflows or underflows.
     Rows 1..n are then standardized in place, and each row of degree >= 2 is
     written as an earlier row times one coordinate."""
     n, M = state_t.shape
@@ -90,8 +94,10 @@ def _feature_rows(state_t: np.ndarray, mean: np.ndarray, degree: int, scale=None
     z = rows[1:n + 1]
     np.subtract(state_t, mean[:, None], out=z)
     if scale is None:
-        scale = np.sqrt(np.add.reduce(z * z, axis=1) / M)
-        scale[constant | (scale == 0.0)] = 1.0
+        f = np.ldexp(1.0, -np.maximum(np.frexp(size)[1], -1021))   # 2^-e, a finite float
+        w = z * f[:, None]
+        std = np.sqrt(np.add.reduce(np.multiply(w, w, out=w), axis=1) / M) / f
+        scale = np.where(constant | (std == 0.0), np.maximum(1.0, size), std)
     z /= scale[:, None]
     for k, parent, j in _product_chain(n, degree):
         np.multiply(rows[parent], z[j], out=rows[k])
@@ -136,9 +142,10 @@ class NodeBasis:
     the rounding level of a pivot (Higham, 1990). The state is M paths, (M,)
     or (M, ...). A dimension is constant when hi - lo <= K M eps max(|lo|, |hi|),
     the same bound made relative: its columns are dropped unflagged and its
-    scale is 1, so a degenerate node (e.g. the deterministic initial state)
-    regresses to the plain cross-path mean; a basis that drops any other column
-    is rank-deficient (``ridge_used``). A non-finite state raises ValueError.
+    scale is max(1, |lo|, |hi|), so a degenerate node (e.g. the deterministic
+    initial state) regresses to the plain cross-path mean; a basis that drops
+    any other column is rank-deficient (``ridge_used``). A non-finite state
+    raises ValueError.
     """
 
     def __init__(self, state: np.ndarray, degree: int = 2):
@@ -147,22 +154,22 @@ class NodeBasis:
         state_t = np.ascontiguousarray(np.asarray(state, dtype=float).reshape(len(state), -1).T)
         self.degree = degree
         lo, hi = self.state_lo, self.state_hi = state_t.min(axis=1), state_t.max(axis=1)
-        mean = state_t.mean(axis=1)
+        mean = np.add.reduce(state_t, axis=1) / state_t.shape[1]   # state_t.mean's bits
         # a NaN or inf in a state column makes its mean non-finite
         if not np.isfinite(mean).all():
             raise ValueError("conditioning state has non-finite entries")
         exponents = monomial_exponents(len(state_t), degree)
         # a dimension spread at rounding level of its size is constant: its columns
         # are multiples of earlier ones, which go before the Gram matrix is formed
-        eps = np.finfo(float).eps
-        constant = hi - lo <= len(exponents) * state_t.shape[1] * eps * np.maximum(-lo, hi)
-        rows, scale = _feature_rows(state_t, mean, degree, constant=constant)
+        size = np.maximum(-lo, hi)
+        constant = hi - lo <= len(exponents) * state_t.shape[1] * _EPS * size
+        rows, scale = _feature_rows(state_t, mean, degree, constant=constant, size=size)
         keep = np.flatnonzero(exponents @ constant == 0)
         self.transform = BasisTransform(mean, scale, degree, keep)
         self.phi = self.transform._kept(rows)
         gram = self.phi.T @ self.phi
         _require_finite(gram)
-        tol = len(gram) * len(self.phi) * eps
+        tol = len(gram) * len(self.phi) * _EPS
         try:
             lower = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:

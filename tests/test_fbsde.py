@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -468,8 +470,8 @@ def test_linear_zero_data_zero_solution():
     grid = fc.TimeGrid(1.0, 32)
     bundle = fc.sample_brownian(grid, 300, fc.SeedSpec(8))
     s = linear_spec(grid, 300, bundle, L1=0.0, L2=0.0, L3=0.0, vs=0.0, x0=0.7)
-    s.kappa = np.zeros((300, 1))
-    s.a3 = np.zeros_like(s.a3)  # homogeneous backward data: p and phi vanish
+    # homogeneous backward data: p and phi vanish
+    s = replace(s, kappa=np.zeros((300, 1)), a3=np.zeros_like(s.a3))
     dec = solve_decoupling(s, bundle)
     assert np.all(dec.p == 0.0) and np.all(dec.phi == 0.0)
     X, Y, Z = solve_linear_fbsde(s, bundle, dec)
@@ -562,8 +564,8 @@ def test_lbeta_homogeneity_and_zero():
     grid = fc.TimeGrid(1.0, 32)
     M = 500
     bundle = fc.sample_brownian(grid, M, fc.SeedSpec(12))
-    s0 = linear_spec(grid, M, bundle, L1=0.0, L2=0.0, L3=0.0, vs=0.0, x0=0.0)
-    s0.kappa = np.zeros((M, 1))
+    s0 = replace(linear_spec(grid, M, bundle, L1=0.0, L2=0.0, L3=0.0, vs=0.0, x0=0.0),
+                 kappa=np.zeros((M, 1)))
     dec0 = solve_decoupling(s0, bundle)
     X, Y, Z = solve_linear_fbsde(s0, bundle, dec0)
     rep0 = fc.check_lbeta_estimate(s0, X, Y, Z, beta=2.0)
@@ -596,11 +598,15 @@ def test_linear_margin_guard_all_paths():
         solve_decoupling(path_major_copy(s), bundle)
 
 
+def widen(a, M):
+    return np.broadcast_to(a, (M,) + a.shape[1:])
+
+
 def path_major_copy(s):
-    """``s`` with every field a path-major copy: no field has stride 0 on the
-    path axis, so both decoupling passes run on all M paths."""
-    return LinearFbsdeSpec(**{**vars(s), **{name: np.ascontiguousarray(s.panel(name))
-                                            for name in _FIRST_ORDER + _FORCINGS}})
+    """``s`` with every field a path-major copy of its panel widened to M rows:
+    no field is one path row, so both decoupling passes run on all M paths."""
+    return replace(s, **{name: np.ascontiguousarray(widen(s.panel(name), s.M))
+                         for name in _FIRST_ORDER + _FORCINGS})
 
 
 def assert_routes_agree(s, full, bundle):
@@ -632,17 +638,14 @@ def test_decoupling_one_row_route_matches_all_paths():
 
 
 def test_decoupling_mixed_route_matches_all_paths():
-    # constant coefficients with Brownian-dependent forcings, reassigned after
+    # constant coefficients with Brownian-dependent forcings, replaced after
     # construction: (p, q, K1) on one row, (phi, nu) on all paths
     grid = fc.TimeGrid(1.0, 32)
     M = 500
     bundle = fc.sample_brownian(grid, M, fc.SeedSpec(17))
     B = bundle.levels()
-    s = linear_spec(grid, M, bundle)
-    s.L1 = (0.1 + 0.3 * B)[:, :, None]
-    s.L2 = (0.2 - 0.4 * B)[:, :, None]
-    s.L3 = 0.05 + 0.2 * B
-    s.varsigma = 0.1 + 0.5 * B[:, -1]
+    s = replace(linear_spec(grid, M, bundle), L1=(0.1 + 0.3 * B)[:, :, None],
+                L2=(0.2 - 0.4 * B)[:, :, None], L3=0.05 + 0.2 * B, varsigma=0.1 + 0.5 * B[:, -1])
     full = path_major_copy(s)
     dec, dec_full = assert_routes_agree(s, full, bundle)
     assert dec.p.strides[0] == 0 and np.all(dec.q == 0.0)
@@ -697,7 +700,7 @@ def test_decoupling_recomputes_the_one_row_pass_on_other_inputs(monkeypatch, cha
     elif change == "FP_TOL":
         monkeypatch.setattr(fbscontrol.fbsde, "FP_TOL", 1e-15)
     else:
-        setattr(s, change, np.array([0.25]))   # reassigned after construction
+        s = replace(s, **{change: np.array([0.25])})
     again = solve_decoupling(s, bundle)
     assert len(calls) == 2
     if change in ("c2", "kappa"):
@@ -713,28 +716,83 @@ def test_decoupling_keeps_no_pass_that_raises(monkeypatch):
     assert len(calls) == 2 and fbscontrol.fbsde._row_pass == (None, None)
 
 
-def test_path_constant_node_terms_on_one_row_are_bit_identical(monkeypatch):
-    # phi_node's mbar, gsum and c1 and the forward loop's W are formed on one
-    # row when their inputs are path-constant; on all M rows every output has
-    # the same bits
+def test_path_constant_node_terms_on_one_row_are_bit_identical():
+    # the forward loop cuts each stride-0 decoupling panel to its row, so W is
+    # formed on one row where its inputs are path-constant; on contiguous
+    # M-row copies of those panels every output has the same bits
     grid = fc.TimeGrid(1.0, 32)
     M = 300
     bundle = fc.sample_brownian(grid, M, fc.SeedSpec(23))
     B = bundle.levels()
-    s = linear_spec(grid, M, bundle)
-    mixed = linear_spec(grid, M, bundle)
-    mixed.L2 = (0.2 - 0.4 * B)[:, :, None]
-    mixed.varsigma = 0.1 + 0.5 * B[:, -1]
-
-    def outputs(spec):
+    mixed = replace(linear_spec(grid, M, bundle), L2=(0.2 - 0.4 * B)[:, :, None],
+                    varsigma=0.1 + 0.5 * B[:, -1])
+    for spec in (linear_spec(grid, M, bundle), mixed,
+                 two_dim_spec(grid, M, bundle, *TWO_DIM_DATA["A"])):
         dec = solve_decoupling(spec, bundle)
-        return ([getattr(dec, k).tobytes() for k in ("p", "q", "K1", "phi", "nu")]
-                + [a.values.tobytes() for a in solve_linear_fbsde(spec, bundle, dec)])
+        full = replace(dec, **{k: np.ascontiguousarray(getattr(dec, k))
+                               for k in ("p", "K1", "phi", "nu")})
+        assert dec.p.strides[0] == 0 and full.p.strides[0] != 0
+        assert [a.values.tobytes() for a in solve_linear_fbsde(spec, bundle, dec)] \
+            == [a.values.tobytes() for a in solve_linear_fbsde(spec, bundle, full)]
 
-    specs = (s, mixed, two_dim_spec(grid, M, bundle, *TWO_DIM_DATA["A"]))
-    cut = [outputs(spec) for spec in specs]
-    monkeypatch.setattr(fbscontrol.fbsde, "_one_row", lambda *arrays: arrays)
-    assert [outputs(spec) for spec in specs] == cut
+
+def test_spec_stores_path_constant_fields_as_one_row():
+    grid = fc.TimeGrid(1.0, 16)
+    M = 40
+    bundle = fc.sample_brownian(grid, M, fc.SeedSpec(24))
+    s = linear_spec(grid, M, bundle)
+    assert all(len(getattr(s, k)) == 1 for k in _FIRST_ORDER + _FORCINGS)
+    assert s.a1.shape == (1, grid.N + 1, 1, 1) and s.varsigma.shape == (1,)
+    assert not any(getattr(s, k).flags.writeable for k in _FIRST_ORDER + _FORCINGS)
+    levels = bundle.levels()
+    adapted = replace(s, L3=levels, kappa=levels[:, -1:])
+    assert adapted.L3.shape == (M, grid.N + 1) and adapted.kappa.shape == (M, 1)
+    assert adapted.panel("L3") is not adapted.L3 and np.array_equal(adapted.panel("L3"), levels)
+
+
+def test_replaced_coefficient_beside_an_adapted_one_solves_on_all_paths():
+    # reassigning c2 on a spec with an adapted a1 left it unpanelled, and the
+    # all-paths pass raised IndexError; replace panels it
+    grid = fc.TimeGrid(1.0, 16)
+    M = 200
+    bundle = fc.sample_brownian(grid, M, fc.SeedSpec(25))
+    wave = np.sin(bundle.levels())[:, :, None, None]
+    s = replace(linear_spec(grid, M, bundle), a1=0.2 + 0.05 * wave)
+    s = replace(s, c2=np.array([0.12]))
+    assert s.c2.shape == (1, grid.N + 1, 1) and len(s.a1) == M
+    dec, _ = assert_routes_agree(s, path_major_copy(s), bundle)
+    assert dec.p.strides[0] != 0 and np.any(dec.q != 0.0)
+
+
+def test_replaced_forcing_beside_an_adapted_one_solves():
+    # reassigning a float L3 on a spec with an adapted L1 raised TypeError
+    # ('float' object is not subscriptable); replace panels it to one row
+    grid = fc.TimeGrid(1.0, 16)
+    M = 200
+    bundle = fc.sample_brownian(grid, M, fc.SeedSpec(26))
+    s = replace(linear_spec(grid, M, bundle), L1=(0.1 + 0.3 * bundle.levels())[:, :, None])
+    s = replace(s, L3=0.07)
+    assert s.L3.shape == (1, grid.N + 1)
+    dec, dec_full = assert_routes_agree(s, path_major_copy(s), bundle)
+    assert dec.phi.strides[0] != 0 and dec.p.strides[0] == 0
+
+
+def test_linear_spec_is_frozen_and_replace_checks_it_again():
+    grid = fc.TimeGrid(1.0, 8)
+    bundle = fc.sample_brownian(grid, 20, fc.SeedSpec(27))
+    s = linear_spec(grid, 20, bundle)
+    with pytest.raises(FrozenInstanceError):
+        s.c2 = np.array([0.12])
+    with pytest.raises(ValueError, match="c2"):
+        replace(s, c2=np.array([np.nan]))
+
+
+def test_decoupling_takes_no_degree():
+    # the cond bases are degree 2; c_min is the one setting
+    grid = fc.TimeGrid(1.0, 8)
+    bundle = fc.sample_brownian(grid, 20, fc.SeedSpec(28))
+    with pytest.raises(TypeError):
+        solve_decoupling(linear_spec(grid, 20, bundle), bundle, degree=2)
 
 
 def test_decoupling_reads_a_two_dimensional_cond_as_paths():

@@ -105,6 +105,19 @@ def test_coupled_z_guard_trigger():
         fc.benchmark_coupled_z(0.95)
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: fc.benchmark_lq(T=np.nan), "horizon_T"),
+    (lambda: fc.benchmark_lq(x0=np.nan), "x0"),
+    (lambda: fc.benchmark_lq(T=np.inf), "horizon_T"),
+    (lambda: fc.benchmark_coupled_z(np.nan), "alpha"),
+    (lambda: fc.benchmark_coupled_z(0.1, x0=np.inf), "x0"),
+], ids=["lq_T_nan", "lq_x0_nan", "lq_T_inf", "coupled_z_alpha_nan", "coupled_z_x0_inf"])
+def test_benchmarks_reject_non_finite_data(build, field):
+    # NaN fails every comparison, so `T <= 0` and `margin < c_min` let it through
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 def test_coupled_z_value_formula():
     bench = fc.benchmark_coupled_z(0.1, x0=1.0, T=1.0)
     assert bench.value == pytest.approx(1.0 - 0.5 * (1.0 - np.exp(-1.0)))

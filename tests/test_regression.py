@@ -277,11 +277,13 @@ def _normals(M=4000):
 _STRICT = dict(over="raise", divide="raise", invalid="raise")
 
 
-@pytest.mark.parametrize("s", [1e-100, 1e-160])
+@pytest.mark.parametrize("s", [1e-100, 1e-160, 1e-170, 1e160, 1e-300, 1e300])
 def test_small_unit_dimension_is_standardized(s):
     # (x, s z) is (x, z) in other units. With an absolute std floor, s z was
     # left unstandardized: at 1e-100 the basis dropped (s z)^2 and was flagged
-    # (fit error 10.5), and at 1e-160 its inverse Gram overflowed in matmul
+    # (fit error 10.5), and at 1e-160 its inverse Gram overflowed in matmul.
+    # A std taken from (s z)^2 overflowed at 1e160 and underflowed to 0 at
+    # 1e-170, which dropped the dimension's square (fit error 15.5)
     x, z, _ = _normals()
     target = x ** 2 + z ** 2
     with np.errstate(**_STRICT):
@@ -319,12 +321,24 @@ def test_design_stays_finite_away_from_a_constant_dimension(constant):
     assert np.all(np.isfinite(values))
 
 
+def test_large_constant_dimension_stays_finite():
+    # the mean's rounding in a constant dimension of size 1e300 is up to 1e285:
+    # with a scale of 1 its square overflowed
+    x, _, e = _normals()
+    state = np.column_stack([x, 1e300 * (1.0 + 1e-15 * e)])
+    with np.errstate(**_STRICT):
+        nb = NodeBasis(state, degree=3)
+        values = NodeFit(nb.transform, nb.coefficients(x ** 3))(state[:7])
+    assert np.array_equal(nb.transform.keep, [0, 1, 3, 6]) and not nb.ridge_used
+    assert np.abs(values - x[:7] ** 3).max() <= 1e-12
+
+
 @st.composite
 def scaled_states(draw):
     """A state of 1 to 3 dimensions of 300 paths (a seed, not the values, is
     drawn), each a normal sample, a constant, a constant times 1 + 1e-15
     noise or a copy of the first, with a power of ten per dimension in
-    10^[-150, 150] (z^2 of a smaller standardized unit underflows)."""
+    10^[-300, 300]."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     cols = []
     for kind in draw(st.lists(st.sampled_from(["normal", "constant", "rounding", "copy"]),
@@ -337,7 +351,7 @@ def scaled_states(draw):
             c = rng.uniform(-2.0, 2.0)
             cols.append(c * (1.0 + (1e-15 if kind == "rounding" else 0.0) * rng.normal(size=300)))
     state = np.column_stack(cols)
-    powers = draw(st.lists(st.integers(-150, 150), min_size=len(cols), max_size=len(cols)))
+    powers = draw(st.lists(st.integers(-300, 300), min_size=len(cols), max_size=len(cols)))
     return state, 10.0 ** np.array(powers, dtype=float), (state ** 2).sum(axis=1) + rng.normal(size=300)
 
 
