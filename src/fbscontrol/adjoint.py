@@ -11,6 +11,7 @@ import numpy as np
 
 from ._frame import RefFrame
 from .fbsde import FbsdeSolution, _dot, _margin_floor, _solve_first_order
+from .model import _require_c_min
 from .paths import ProcessPanel, mean_stderr, node_major
 from .regression import FP_MAX, FP_TOL, _backward_regression, _fixed_point
 
@@ -22,9 +23,13 @@ class AdjointOpts:
     ``FirstOrderAdjoint.c_min``; the second-order adjoint, Delta and the
     maximum-principle check of that reference read it from there. The basis
     degree is the Picard solve's, and the per-node fixed points stop within
-    regression.FP_TOL of their limits."""
+    regression.FP_TOL of their limits. A c_min that is not positive (NaN
+    included) raises ValueError."""
 
     c_min: float = 0.1
+
+    def __post_init__(self):
+        _require_c_min(self.c_min)
 
 
 @dataclass

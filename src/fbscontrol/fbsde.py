@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvertibilityError, NoConvergenceError
-from .model import ControlLaw, ProblemSpec
+from .model import ControlLaw, ProblemSpec, _require_c_min
 from .paths import (SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, TimeGrid,
                     mean_stderr, moment_norm, node_major)
 from .regression import (FIT_TOL, FP_MAX, FP_TOL, NodeBasis, NodeFit, _backward_regression,
@@ -27,12 +27,18 @@ FLOOR = 1e-6
 
 @dataclass
 class PicardOpts:
-    """Picard sweep cap and basis degree. The inner y fixed point of each
-    backward node is the package's per-node fixed point (regression.FIT_TOL,
-    at most FP_MAX regressions)."""
+    """Picard sweep cap (at least 1) and basis degree (at least 0); other
+    values raise ValueError. The inner y fixed point of each backward node is
+    the package's per-node fixed point (regression.FIT_TOL, at most FP_MAX
+    regressions)."""
 
     max_sweeps: int = 50
     degree: int = 2          # total degree of the polynomial regression basis
+
+    def __post_init__(self):
+        for name, low in (("max_sweeps", 1), ("degree", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -40,7 +46,9 @@ class FbsdeSolution:
     """A converged coupled solve. ``closures`` are the final sweep's (Y, Z)
     fits; ``forward_closures`` are the fits that drove its final forward
     simulation (the previous sweep's closures, or a resumed solve's start's),
-    which is what a later solve on the same increments resumes from."""
+    which is what a later solve on the same increments resumes from. Where the
+    final sweep reused the previous sweep's backward pass (its X repeated bit
+    for bit), ``closures`` is the same list object as ``forward_closures``."""
 
     X: ProcessPanel
     Y: ProcessPanel
@@ -180,6 +188,12 @@ def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
     start bit for bit and stops at sweep 1 with trace [0.0]; the spiked solves
     of an order experiment resume their reference this way.
 
+    Within one solve the backward pass reads X alone, so a sweep whose X equals
+    the previous sweep's bit for bit reuses that sweep's (Y, Z), closures and
+    bases: a cold decoupled solve pays one backward pass. A resumed solve always
+    runs its first one, as start may come from another driver, terminal map,
+    control or degree.
+
     The residual r_k of sweep k is the max over (X, Y, Z) of the sup-over-nodes
     root mean square path change. Once two residuals exist, the contraction
     rate rho is the larger of the last two ratios r_k / r_{k-1}, and the
@@ -202,10 +216,15 @@ def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
         closures = start.forward_closures
         prev = (start.X.values, start.Y.values, start.Z.values)
     trace = []
+    back = None   # this solve's last backward pass, kept while its X may repeat
     for sweep in range(1, opts.max_sweeps + 1):
         forward = closures
         X = simulate_forward(spec, control, forward, bundle)
-        Y, Z, closures, rep = solve_bsde_regression(spec, control, X, bundle, opts)
+        # compared as bits, as the inner y is: 0.0 and -0.0 count as different
+        if back is None or not np.array_equal(X.values.view(np.int64), prev[0].view(np.int64)):
+            back = None   # free the last sweep's bases before this sweep builds its own
+            back = solve_bsde_regression(spec, control, X, bundle, opts)
+        Y, Z, closures, rep = back
         if prev is not None:
             res = max(
                 _panel_change(X.values, prev[0]),
@@ -218,7 +237,7 @@ def solve_coupled_picard(spec: ProblemSpec, control: ControlLaw,
                 return FbsdeSolution(X, Y, Z, control, bundle, trace, sweep, rep["y0_samples"],
                                      closures, forward, rep["bases"], rho, bound)
         prev = (X.values, Y.values, Z.values)
-        del rep  # free this sweep's bases before the next sweep builds its own
+        del rep  # so that dropping back frees this sweep's bases
     err = NoConvergenceError("picard", trace[-1] if trace else np.inf,
                              detail=f"{opts.max_sweeps} sweeps")
     err.trace = trace
@@ -442,8 +461,10 @@ def solve_decoupling(lspec: LinearFbsdeSpec, bundle: BrownianBundle,
     within regression.FP_TOL * (1 + sup|p|) of that node's limit (at most
     FP_MAX steps); along the backward recursion these node distances add up.
     (phi, nu) take p as given, so superposition holds to rounding. A bundle on
-    another grid or with another path count than ``lspec`` raises ValueError."""
+    another grid or with another path count than ``lspec``, or a ``c_min`` that
+    is not positive (NaN included), raises ValueError."""
     _require_bundle(lspec, bundle)
+    _require_c_min(c_min)
     M, dt = lspec.M, lspec.grid.dt
     bases = [None] * lspec.grid.N
 

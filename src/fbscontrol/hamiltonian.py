@@ -22,7 +22,7 @@ from .adjoint import FirstOrderAdjoint, SecondOrderAdjoint
 from .fbsde import FbsdeSolution, _dot
 from .model import ProblemSpec
 from .paths import mean_stderr
-from .spike import delta_at_node
+from .spike import _delta
 
 # bisection rounds around the worst grid point of a continuous control set
 REFINE_ROUNDS = 3
@@ -65,7 +65,7 @@ def _script_H(ctx: HamiltonianContext, state, sig_ref, p, q, P, u_vals) -> np.nd
     and controls u_vals."""
     spec = ctx.spec
     t, x, y, z, _ = state
-    delta, _, _, _ = delta_at_node(spec, state, sig_ref, p, ctx.node, u_vals, ctx.c_min)
+    delta, _, _ = _delta(spec, state, sig_ref, p, ctx.node, u_vals, ctx.c_min)
     v = _values(spec, t, x, y, z + delta, u_vals)
     ds = v["s"] - sig_ref
     quad = 0.5 * np.einsum("mi,mij,mj->m", ds, P, ds)
@@ -82,26 +82,31 @@ def eval_script_H(ctx: HamiltonianContext, u) -> np.ndarray:
                      ctx._as_controls(u))
 
 
-def _candidate_block(ctx: HamiltonianContext, candidates: np.ndarray) -> np.ndarray:
+def _tiled(ctx: HamiltonianContext, state, sig_ref: np.ndarray, copies: int):
+    """t, and the node's u-independent rows x, y, z, u_ref, ``sig_ref`` (sigma
+    at the reference, on the node's M rows), p, q and P, each tiled ``copies``
+    times u-major: the first U*M rows are U copies."""
+    t, *rows = state
+    return t, [np.tile(a, (copies,) + (1,) * (a.ndim - 1))
+               for a in rows + [sig_ref, ctx.p, ctx.q, ctx.P]]
+
+
+def _candidate_block(ctx: HamiltonianContext, tiled, candidates: np.ndarray) -> np.ndarray:
     """script_H of each control point in the (U, k) ``candidates``, shape (U, M).
 
     One u-major block of U*M rows: candidate j fills rows j*M .. (j+1)*M - 1,
-    against the node state, p, q and P tiled U times. On the closed-form Delta
+    against the first U*M rows of the node's ``tiled`` rows (see
+    :func:`_tiled`). Coefficients act row by row, so sigma at the reference
+    tiled equals sigma at the tiled reference, and on the closed-form Delta
     routes row j equals ``eval_script_H(ctx, candidates[j])`` bit for bit; the
     fixed-point route iterates until every row of the block has converged, so
     there it agrees to the fixed point's tolerance. The rows are control
     points, never a per-path (M, k) control like u_ref.
     """
     U, M = len(candidates), ctx.p.shape[0]
-
-    def tile(a):
-        return np.tile(a, (U,) + (1,) * (a.ndim - 1))
-
-    t, *rows = ctx.frame.state(ctx.node)
-    state = (t,) + tuple(tile(a) for a in rows)
-    sig_ref = ctx.spec.sigma.value(*state)
-    h = _script_H(ctx, state, sig_ref, tile(ctx.p), tile(ctx.q), tile(ctx.P),
-                  np.repeat(candidates, M, axis=0))
+    t, rows = tiled
+    x, y, z, u_ref, sig_ref, p, q, P = (a[:U * M] for a in rows)
+    h = _script_H(ctx, (t, x, y, z, u_ref), sig_ref, p, q, P, np.repeat(candidates, M, axis=0))
     return h.reshape(U, M)
 
 
@@ -188,13 +193,17 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
     worst = (0.0, None, 0.0)
     refined = False
 
-    def scan(i, ctx, h_ref, u_candidates):
+    # at most N + 1 candidates per block, so a block is never larger than a
+    # panel; a refinement round's block holds 2 points per axis with spacing
+    refine = spec.control_set.is_continuous and len(u_grid) > 1
+    copies = max(min(len(u_grid), grid.N + 1), 2 * np.count_nonzero(spacing) if refine else 0)
+
+    def scan(i, ctx, tiled, h_ref, u_candidates):
         nonlocal min_z, worst
         best_u, best_mean = None, np.inf
-        # at most N + 1 candidates per block, so a block is never larger than a panel
         for start in range(0, len(u_candidates), grid.N + 1):
             block = u_candidates[start:start + grid.N + 1]
-            for u_pt, gap in zip(block, _candidate_block(ctx, block) - h_ref):
+            for u_pt, gap in zip(block, _candidate_block(ctx, tiled, block) - h_ref):
                 mg, se = mean_stderr(gap)
                 zsc = _z_score(mg, se)
                 table.append((float(grid.nodes[i]), tuple(u_pt.tolist()), mg, se, zsc))
@@ -208,9 +217,12 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
 
     for i in node_idx:
         ctx = build_context(spec, sol, adj1, adj2, int(i))
-        h_ref = eval_script_H(ctx, ctx.frame.state(ctx.node)[4])
-        center, center_mean = scan(i, ctx, h_ref, u_grid)
-        if spec.control_set.is_continuous and len(u_grid) > 1:
+        state = ctx.frame.state(ctx.node)
+        sig_ref = spec.sigma.value(*state)
+        h_ref = _script_H(ctx, state, sig_ref, ctx.p, ctx.q, ctx.P, state[4])
+        tiled = _tiled(ctx, state, sig_ref, copies)
+        center, center_mean = scan(i, ctx, tiled, h_ref, u_grid)
+        if refine:
             refined = True
             span = spacing
             for _ in range(REFINE_ROUNDS):
@@ -218,7 +230,7 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
                 # bisect axis by axis: center -/+ span_j e_j, skipping flat axes
                 local = np.array([center + sign * e for e in np.diag(span)[span > 0]
                                   for sign in (-1.0, 1.0)])
-                best_u, best_mean = scan(i, ctx, h_ref, local)
+                best_u, best_mean = scan(i, ctx, tiled, h_ref, local)
                 if best_mean < center_mean:
                     center, center_mean = best_u, best_mean
 

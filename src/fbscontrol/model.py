@@ -489,6 +489,13 @@ def lq_value_rk4(x0: float, sigma0: float, T: float, steps: int = 400) -> float:
     return 0.5 * P * x0 ** 2 + r
 
 
+def _require_c_min(c_min):
+    """A margin floor is positive, else ValueError: below a NaN or a floor
+    <= 0 no margin ever falls, so it would switch every margin check off."""
+    if not c_min > 0:   # NaN too
+        raise ValueError(f"c_min must be positive, got {c_min}")
+
+
 def benchmark_coupled_z(alpha: float, x0: float = 1.0, T: float = 1.0,
                         c_min: float = 0.1) -> BenchmarkProblem:
     """Fully coupled scalar benchmark with z in the diffusion:
@@ -499,12 +506,14 @@ def benchmark_coupled_z(alpha: float, x0: float = 1.0, T: float = 1.0,
     All coefficient partials are constant, so the first-order adjoint is
     deterministic: p = 1, q = 0, K1 = 1/(1 - alpha), and the second-order
     adjoint vanishes (phi_xx = 0). The runtime guard |1 - p*alpha| = |1 - alpha|
-    is checked here against c_min. Under a constant control u0 the solution has
-    the affine form Y = X + (u0 + u0^2/2)(1 - e^(t-T)), which the tests use as
-    an independent oracle; the reference control is u = -1.
+    is checked here against c_min, which must be positive (else ValueError).
+    Under a constant control u0 the solution has the affine form
+    Y = X + (u0 + u0^2/2)(1 - e^(t-T)), which the tests use as an independent
+    oracle; the reference control is u = -1.
     """
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
+    _require_c_min(c_min)
     margin = abs(1.0 - alpha)
     if margin < c_min:
         raise InvertibilityError(margin, c_min, where="benchmark_coupled_z construction")

@@ -87,7 +87,8 @@ def delta_at_node(spec: ProblemSpec, state, sig_ref: np.ndarray, p_node: np.ndar
     """Solve Delta = <p, sigma(t, X, Y, Z + Delta, u) - sigma(t, X, Y, Z, u_ref)>
     at node i, vectorized over the rows of the node state (t, X, Y, Z, u_ref),
     with ``sig_ref`` = sigma(t, X, Y, Z, u_ref). Returns (delta, residual,
-    method, iters).
+    method, iters); the residual costs one more sigma evaluation, which the
+    Hamiltonian, reading Delta alone, does not make.
 
     Route: z-free sigma -> one-step closed form; declared linear-in-z -> exact
     inverse; otherwise Newton steps from Delta = 0 through the package's
@@ -95,17 +96,25 @@ def delta_at_node(spec: ProblemSpec, state, sig_ref: np.ndarray, p_node: np.ndar
     margins of the last two routes are checked against ``c_min``, the floor
     of the reference's first-order adjoint (``FirstOrderAdjoint.c_min``).
     """
+    delta, method, iters = _delta(spec, state, sig_ref, p_node, i, u_vals, c_min,
+                                  force_fixed_point)
+    return delta, _delta_residual(spec, state, sig_ref, p_node, u_vals, delta), method, iters
+
+
+def _delta_residual(spec, state, sig_ref, p_node, u_vals, delta):
+    t, x, y, z, _ = state
+    return delta - _dot(p_node, spec.sigma.value(t, x, y, z + delta, u_vals) - sig_ref)
+
+
+def _delta(spec, state, sig_ref, p_node, i, u_vals, c_min, force_fixed_point=False):
+    """:func:`delta_at_node`'s (delta, method, iters), without its residual."""
     t, x, y, z, u_ref = state
     M = x.shape[0]
-
-    def residual_of(delta):
-        return delta - _dot(p_node, spec.sigma.value(t, x, y, z + delta, u_vals) - sig_ref)
 
     sz_here = spec.sigma.first("dz", t, x, y, z, u_vals)
     if not force_fixed_point and float(np.abs(sz_here).max()) == 0.0 \
             and float(np.abs(spec.sigma.first("dz", t, x, y, z, u_ref)).max()) == 0.0:
-        delta = _dot(p_node, spec.sigma.value(t, x, y, z, u_vals) - sig_ref)
-        return delta, residual_of(delta), CLOSED_FORM_SZ0, 1
+        return _dot(p_node, spec.sigma.value(t, x, y, z, u_vals) - sig_ref), CLOSED_FORM_SZ0, 1
 
     if not force_fixed_point and spec.sigma_form == LINEAR_IN_Z:
         A = np.broadcast_to(spec.A_at(t), (M, spec.n))
@@ -113,16 +122,15 @@ def delta_at_node(spec: ProblemSpec, state, sig_ref: np.ndarray, p_node: np.ndar
         _margin_floor(mbar, c_min, f"delta node {i}")
         s1_new = np.asarray(spec.sigma1_eval(t, x, y, u_vals), dtype=float).reshape(M, spec.n)
         s1_ref = np.asarray(spec.sigma1_eval(t, x, y, u_ref), dtype=float).reshape(M, spec.n)
-        delta = _dot(p_node, s1_new - s1_ref) / mbar
-        return delta, residual_of(delta), CLOSED_FORM_LINEAR, 1
+        return _dot(p_node, s1_new - s1_ref) / mbar, CLOSED_FORM_LINEAR, 1
 
     def newton(delta):
         slope = 1.0 - _dot(p_node, spec.sigma.first("dz", t, x, y, z + delta, u_vals))
         _margin_floor(slope, c_min, f"delta Newton node {i}")
-        return delta - residual_of(delta) / slope
+        return delta - _delta_residual(spec, state, sig_ref, p_node, u_vals, delta) / slope
 
     delta, iters = _fixed_point(newton, np.zeros(M), FP_TOL, FP_MAX, "delta fixed point", i)
-    return delta, residual_of(delta), FIXED_POINT, iters
+    return delta, FIXED_POINT, iters
 
 
 def solve_delta(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,

@@ -1,7 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import fbscontrol as fc
+
+# hypothesis's pytest plugin imports this module when a property fails, and
+# catches only ImportError; where libcst is installed, its import warns with a
+# DeprecationWarning, which under -W error ends the run in an INTERNALERROR in
+# place of the falsifying example. Imported once here, with that warning
+# ignored for this import alone, the plugin finds it loaded.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 SEED = 42
 

@@ -109,6 +109,14 @@ def test_margin_floor_travels_with_the_stack(cz_small):
         assert re.search(r"node \d+, path \d+$", str(err.value))
 
 
+@pytest.mark.parametrize("c_min", [np.nan, -1.0, 0.0])
+def test_adjoint_opts_reject_a_c_min_that_is_not_positive(c_min):
+    # kept as adj1.c_min, a NaN or a floor <= 0 would switch off every margin
+    # check downstream: on coupled_z, c_min = 0.95 raises and NaN passed
+    with pytest.raises(ValueError, match="c_min"):
+        fc.AdjointOpts(c_min=c_min)
+
+
 def test_k1_identity_every_node(cz_small):
     bench, _, sol, adj1, _ = cz_small
     frame = adj1.frame

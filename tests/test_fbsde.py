@@ -197,6 +197,89 @@ def _strict_picard(spec, control, bundle, opts=None, sweeps=30, start=None):
                             forward, rep["bases"], None, 0.0)
 
 
+def _count_builds(monkeypatch):
+    builds = []
+    monkeypatch.setattr(fbscontrol.fbsde, "NodeBasis",
+                        lambda *a, **k: builds.append(1) or NodeBasis(*a, **k))
+    return builds
+
+
+def _fit_arrays(closures):
+    return [a for f in closures for a in f.coef + (f.transform.mean, f.transform.scale,
+                                                    f.transform.keep, f.state_lo, f.state_hi)]
+
+
+def test_picard_decoupled_solve_runs_one_backward_pass(monkeypatch):
+    # LQ's b and sigma read neither y nor z, so sweep 2 simulates sweep 1's X
+    # bit for bit and reuses its backward pass: N basis builds, not 2N, and the
+    # same solution as two plain sweeps
+    bench = fc.benchmark_lq(x0=1.0, sigma0=0.5, T=1.0)
+    spec, control = bench.spec, bench.optimal_control
+    grid = fc.TimeGrid(1.0, 16)
+    bundle = fc.sample_brownian(grid, 400, fc.SeedSpec(7))
+    builds = _count_builds(monkeypatch)
+    sol = fc.solve_coupled_picard(spec, control, bundle)
+    assert len(builds) == grid.N
+    assert (sol.sweeps, sol.residual_trace, sol.rho, sol.change_bound) == (2, [0.0], None, 0.0)
+    assert sol.closures is sol.forward_closures
+    builds.clear()
+    strict = _strict_picard(spec, control, bundle, sweeps=2)
+    assert len(builds) == 2 * grid.N
+    for a, b in ((sol.X, strict.X), (sol.Y, strict.Y), (sol.Z, strict.Z)):
+        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(sol.y0_samples, strict.y0_samples)
+    for mine, theirs in ((sol.closures, strict.closures),
+                         (sol.forward_closures, strict.forward_closures)):
+        for a, b in zip(_fit_arrays(mine), _fit_arrays(theirs), strict=True):
+            assert np.array_equal(a, b)
+    for a, b in zip(sol.bases, strict.bases, strict=True):
+        assert np.array_equal(a.phi, b.phi)
+
+
+def test_picard_coupled_solve_runs_every_backward_pass(monkeypatch):
+    # coupled_z's sigma reads z, so X moves in every sweep and each sweep builds
+    # its own bases
+    bench = fc.benchmark_coupled_z(0.1)
+    grid = fc.TimeGrid(1.0, 16)
+    bundle = fc.sample_brownian(grid, 400, fc.SeedSpec(7))
+    builds = _count_builds(monkeypatch)
+    sol = fc.solve_coupled_picard(bench.spec, bench.optimal_control, bundle)
+    assert sol.sweeps >= 3
+    assert len(builds) == sol.sweeps * grid.N
+
+
+def test_resumed_solve_with_another_driver_equals_its_cold_solve():
+    # start's b and sigma give the same X as the doubled driver's, yet its
+    # backward pass solved another equation: a resumed solve runs its own
+    bench = fc.benchmark_lq(x0=1.0, sigma0=0.5, T=1.0)
+    spec, control = bench.spec, bench.optimal_control
+    g = spec.g
+    doubled = Coefficient(lambda *a: 2.0 * g.value(*a),
+                          *(lambda *a, d=d: 2.0 * g.first(d, *a) for d in ("dx", "dy", "dz")),
+                          out="scalar")
+    spec2 = replace(spec, g=doubled)
+    bundle = fc.sample_brownian(fc.TimeGrid(1.0, 32), 500, fc.SeedSpec(3))
+    start = fc.solve_coupled_picard(spec, control, bundle)
+    cold = fc.solve_coupled_picard(spec2, control, bundle)
+    warm = fc.solve_coupled_picard(spec2, control, bundle, start=start)
+    assert abs(start.value - cold.value) > 0.1
+    assert warm.value == cold.value
+    for a, b in ((warm.X, cold.X), (warm.Y, cold.Y), (warm.Z, cold.Z)):
+        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(warm.y0_samples, cold.y0_samples)
+    for a, b in zip(_fit_arrays(warm.closures), _fit_arrays(cold.closures), strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("opts, field", [(dict(degree=-1), "degree"), (dict(degree=-3), "degree"),
+                                         (dict(max_sweeps=0), "max_sweeps")])
+def test_picard_opts_reject_out_of_range_values(opts, field):
+    # a negative degree used to solve on an intercept-only basis (Z = 0), and
+    # no sweep at all used to raise NoConvergenceError
+    with pytest.raises(ValueError, match=field):
+        fc.PicardOpts(**opts)
+
+
 def test_stopping_rule_against_strict_reference(monkeypatch):
     # the rule stops long before 30 sweeps, yet J, the order-report slopes and
     # the mp verdict agree with 30-sweep solves within their Monte Carlo error
@@ -793,6 +876,15 @@ def test_decoupling_takes_no_degree():
     bundle = fc.sample_brownian(grid, 20, fc.SeedSpec(28))
     with pytest.raises(TypeError):
         solve_decoupling(linear_spec(grid, 20, bundle), bundle, degree=2)
+
+
+@pytest.mark.parametrize("c_min", [np.nan, -1.0, 0.0])
+def test_decoupling_rejects_a_c_min_that_is_not_positive(c_min):
+    # no margin is ever below a NaN or a floor <= 0, which would check nothing
+    grid = fc.TimeGrid(1.0, 8)
+    bundle = fc.sample_brownian(grid, 20, fc.SeedSpec(28))
+    with pytest.raises(ValueError, match="c_min"):
+        solve_decoupling(linear_spec(grid, 20, bundle), bundle, c_min=c_min)
 
 
 def test_decoupling_reads_a_two_dimensional_cond_as_paths():

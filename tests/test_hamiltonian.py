@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fbscontrol as fc
-from fbscontrol.hamiltonian import build_context, eval_script_H, hamiltonian_gap
+from fbscontrol.hamiltonian import REFINE_ROUNDS, build_context, eval_script_H, hamiltonian_gap
 
 from conftest import SEED, make_zero_problem
 
@@ -140,6 +140,25 @@ def test_mp_table_gaps_match_hamiltonian_gap_bitwise(stack, request):
         node = int(np.flatnonzero(grid.nodes == t)[0])
         ctx = build_context(bench.spec, sol, adj1, adj2, node)
         assert mean_gap == float(hamiltonian_gap(ctx, np.array(u)).mean())
+
+
+def test_mp_check_evaluates_sigma_at_the_reference_once_per_node(lq_small, monkeypatch):
+    # per sampled node, sigma at the reference runs once, on the node's M rows,
+    # and is tiled for the candidate blocks; Delta's residual, which script_H
+    # does not read, is never evaluated. So after sigma at the reference, h_ref
+    # and each block (LQ's grid points, then 2 points per bisection round)
+    # evaluate sigma twice: in Delta's closed form and in script_H's values
+    bench, _, sol, adj1, adj2 = lq_small
+    sigma = bench.spec.sigma
+    value = sigma.value
+    rows = []
+    monkeypatch.setattr(sigma, "value", lambda *a: rows.append(a[1].shape[0]) or value(*a))
+    rep = fc.check_maximum_principle(bench.spec, bench.optimal_control, sol, adj1, adj2,
+                                     fc.MpOpts(n_nodes=4))
+    M, U = sol.X.values.shape[0], len(bench.spec.control_set.mp_grid())
+    blocks = [U] + [2] * REFINE_ROUNDS
+    assert rep.n_pairs == 4 * sum(blocks)
+    assert rows == 4 * ([M, M, M] + [b * M for b in blocks for _ in range(2)])
 
 
 def test_control_shape_is_checked():

@@ -118,6 +118,13 @@ def test_benchmarks_reject_non_finite_data(build, field):
         build()
 
 
+@pytest.mark.parametrize("c_min", [np.nan, -1.0, 0.0])
+def test_coupled_z_rejects_a_c_min_that_is_not_positive(c_min):
+    # `margin < c_min` is never true for these, so the guard checked nothing
+    with pytest.raises(ValueError, match="c_min"):
+        fc.benchmark_coupled_z(0.1, c_min=c_min)
+
+
 def test_coupled_z_value_formula():
     bench = fc.benchmark_coupled_z(0.1, x0=1.0, T=1.0)
     assert bench.value == pytest.approx(1.0 - 0.5 * (1.0 - np.exp(-1.0)))
