@@ -14,20 +14,20 @@ nothing is loosened to force a pass.
 from __future__ import annotations
 
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .adjoint import (AdjointOpts, solve_first_order_adjoint, solve_gamma,
+from .adjoint import (solve_first_order_adjoint, solve_gamma,
                       solve_second_order_adjoint, solve_yhat)
 from .fbsde import (LinearFbsdeSpec, PicardOpts, check_lbeta_estimate,
                     solve_coupled_picard, solve_decoupling, solve_linear_fbsde)
 from .hamiltonian import MpOpts, check_maximum_principle
-from .model import (BenchmarkProblem, Coefficient, ProblemSpec, RealControlSet, TerminalMap,
-                    _zero_mat, _zero_scal, _zero_tensor, _zero_vec, benchmark_coupled_z,
-                    benchmark_lq, constant_control)
+from .model import (GENERAL, BenchmarkProblem, Coefficient, ProblemSpec, RealControlSet,
+                    TerminalMap, _zero_mat, _zero_scal, _zero_tensor, _zero_vec,
+                    benchmark_coupled_z, benchmark_lq, constant_control)
 from .paths import SeedSpec, TimeGrid, mean_stderr, sample_brownian
 from .spike import SpikeSpec, run_order_experiment, simulate_variations, solve_delta
 
@@ -65,7 +65,6 @@ class AcceptanceSession:
         self.paths = paths
         self.steps = steps
         self.picard = PicardOpts(degree=2)
-        self.adj_opts = AdjointOpts()
 
     # -- shared stacks -----------------------------------------------------
     @cached_property
@@ -91,7 +90,7 @@ class AcceptanceSession:
     def _stack(self, spec, control, bundle):
         """The Picard solve and both adjoints of ``spec`` under ``control``."""
         sol = solve_coupled_picard(spec, control, bundle, self.picard)
-        adj1 = solve_first_order_adjoint(spec, sol, control, self.adj_opts)
+        adj1 = solve_first_order_adjoint(spec, sol, control)
         return sol, adj1, solve_second_order_adjoint(spec, sol, adj1)
 
     def _order(self, bench, stack):
@@ -101,7 +100,6 @@ class AcceptanceSession:
         return run_order_experiment(bench.spec, bench.optimal_control, self.bundle,
                                     eps_ladder=self.ladder, spike_at=SPIKE_AT,
                                     spike_value=1.0, picard=self.picard,
-                                    adjoint_opts=self.adj_opts,
                                     reference=sol, adjoints=(adj1, adj2))
 
     @cached_property
@@ -241,7 +239,7 @@ class AcceptanceSession:
         sol, adj1, adj2 = self.cz_stack
         spike = SpikeSpec(SPIKE_AT, 0.0625, 1.0)
         d_closed = solve_delta(self.cz.spec, sol, adj1, spike)
-        d_fp = solve_delta(self.cz.spec, sol, adj1, spike, force_fixed_point=True)
+        d_fp = solve_delta(replace(self.cz.spec, sigma_form=GENERAL), sol, adj1, spike)
         gap = float(np.abs(d_closed.panel.scalar() - d_fp.panel.scalar()).max())
         rep = check_maximum_principle(self.cz.spec, self.cz.optimal_control, sol,
                                       adj1, adj2, MpOpts(n_nodes=40))
@@ -338,7 +336,7 @@ class AcceptanceSession:
         pos_lq = float(g_lq.gamma.values.min())
         bench = _mart_test_problem(0.5)
         sol_m = solve_coupled_picard(bench.spec, bench.optimal_control, self.bundle, self.picard)
-        adj1_m = solve_first_order_adjoint(bench.spec, sol_m, bench.optimal_control, self.adj_opts)
+        adj1_m = solve_first_order_adjoint(bench.spec, sol_m, bench.optimal_control)
         g = solve_gamma(bench.spec, sol_m, adj1_m)
         pos = float(g.gamma.values.min())
         drift_max = float(np.abs(g.drift_coeff).max())

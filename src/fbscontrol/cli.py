@@ -192,10 +192,8 @@ def select_control(cfg: RunConfig, bench):
         raise ConfigError("experiment.control", f"unrecognized control {sel!r}")
 
 
-def _opts(cfg: RunConfig):
-    picard = PicardOpts(max_sweeps=cfg.solver.picard_max, degree=cfg.solver.basis_degree)
-    adj = AdjointOpts(c_min=cfg.solver.c_min)
-    return picard, adj
+def _picard(cfg: RunConfig) -> PicardOpts:
+    return PicardOpts(max_sweeps=cfg.solver.picard_max, degree=cfg.solver.basis_degree)
 
 
 def _write_json(path: Path, payload: dict):
@@ -218,9 +216,8 @@ def _solve_stack(cfg: RunConfig):
     control = select_control(cfg, bench)
     grid = TimeGrid(cfg.problem.T, cfg.solver.steps)
     bundle = sample_brownian(grid, cfg.solver.paths, SeedSpec(cfg.seed))
-    picard, adj_opts = _opts(cfg)
-    sol = solve_coupled_picard(bench.spec, control, bundle, picard)
-    adj1 = solve_first_order_adjoint(bench.spec, sol, control, adj_opts)
+    sol = solve_coupled_picard(bench.spec, control, bundle, _picard(cfg))
+    adj1 = solve_first_order_adjoint(bench.spec, sol, control, AdjointOpts(c_min=cfg.solver.c_min))
     adj2 = solve_second_order_adjoint(bench.spec, sol, adj1)
     return bench, control, bundle, sol, adj1, adj2
 
@@ -259,16 +256,13 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_spike(cfg: RunConfig) -> int:
     out = _prepare_out(cfg)
-    bench = build_problem(cfg)
-    control = select_control(cfg, bench)
-    grid = TimeGrid(cfg.problem.T, cfg.solver.steps)
-    bundle = sample_brownian(grid, cfg.solver.paths, SeedSpec(cfg.seed))
-    picard, adj_opts = _opts(cfg)
+    bench, control, bundle, sol, adj1, adj2 = _solve_stack(cfg)
     ladder, spike_at = cfg.spike_window()
     report = run_order_experiment(
         bench.spec, control, bundle, eps_ladder=ladder,
         betas=tuple(cfg.experiment.beta), spike_at=spike_at,
-        spike_value=cfg.experiment.spike_value, picard=picard, adjoint_opts=adj_opts,
+        spike_value=cfg.experiment.spike_value, picard=_picard(cfg),
+        reference=sol, adjoints=(adj1, adj2),
     )
     payload = report.to_dict()
     payload["version"] = __version__

@@ -280,8 +280,8 @@ class LinearFbsdeSpec:
     regressions, (M, N+1) or (M, N+1, d) (Brownian levels, ``bundle.levels()``,
     are a good default for B-adapted data). A spec is frozen and read once: when
     it is made (also by ``dataclasses.replace``), each coefficient and forcing
-    is stored as its ``panel``, and a1 ... c3 and cond must be finite (else
-    ValueError)."""
+    is stored as its ``panel``, a1 ... c3 and cond must be finite, cond must
+    have that shape and x0 n entries (else ValueError)."""
 
     grid: TimeGrid
     M: int
@@ -307,6 +307,10 @@ class LinearFbsdeSpec:
         for name in _FIRST_ORDER + _FORCINGS:
             object.__setattr__(self, name, self.panel(name))
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
+        if self.x0.shape != (self.n,):
+            raise ValueError(f"field x0 has shape {self.x0.shape}, not n = {self.n} entries")
+        if np.ndim(self.cond) not in (2, 3) or np.shape(self.cond)[:2] != (self.M, self.grid.N + 1):
+            raise ValueError(f"field cond has shape {np.shape(self.cond)}, not (M, N+1[, d])")
         for name in ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3", "cond"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"field {name} has non-finite entries")

@@ -14,6 +14,7 @@ significant negative gap script_H(u) - script_H(u_ref).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -151,12 +152,16 @@ class MpReport:
 
 @dataclass
 class MpOpts:
-    """How many nodes to sample (at least 1) and the z-score a mean gap must
-    not fall below. The margin floor is the reference's (``adj1.c_min``), and
-    continuous control sets get REFINE_ROUNDS bisection rounds."""
+    """How many nodes to sample (at least 1, else ValueError). A mean gap's
+    z-score must not fall below the constant ``z_threshold``, the margin floor
+    is ``adj1.c_min``, and continuous sets get REFINE_ROUNDS bisection rounds."""
 
     n_nodes: int = 32
-    z_threshold: float = -3.0
+    z_threshold: ClassVar[float] = -3.0
+
+    def __post_init__(self):
+        if self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be at least 1, got {self.n_nodes}")
 
 
 def _z_score(mean, se):
@@ -172,16 +177,13 @@ def check_maximum_principle(spec: ProblemSpec, control, sol: FbsdeSolution,
                             opts: MpOpts = None) -> MpReport:
     """Sample nodes uniformly in time and candidate controls over the control
     set's grid; PASS when the minimum z-score of the cross-path mean gap stays
-    above the threshold (default -3). Continuous control sets get bisection
-    refinement around the worst grid point, along one axis at a time, starting
-    from half that axis's grid spacing; a round's best candidate becomes the
-    center only when its mean gap is below the center's. Raises ValueError when
-    ``opts.n_nodes`` is below 1: a verdict needs at least one node.
+    at or above ``MpOpts.z_threshold`` (-3). Continuous control sets get
+    bisection refinement around the worst grid point, along one axis at a time,
+    starting from half that axis's grid spacing; a round's best candidate
+    becomes the center only when its mean gap is below the center's.
     """
     if opts is None:
         opts = MpOpts()
-    if opts.n_nodes < 1:
-        raise ValueError(f"n_nodes must be at least 1, got {opts.n_nodes}")
     grid = sol.X.grid
     node_idx = np.unique(np.linspace(0, grid.N - 1, opts.n_nodes).astype(int))
     u_grid = spec.control_set.mp_grid()

@@ -24,7 +24,7 @@ concurrently; constants may be returned as scalars and are broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -278,9 +278,7 @@ class ProblemSpec:
     phi: TerminalMap
     growth_L: float
     control_set: ControlSet
-    sigma_form: str = GENERAL
-    A_eval: Optional[Callable] = None       # t -> (n,), diffusion's z-coefficient
-    sigma1_eval: Optional[Callable] = None  # (t, x, y, u) -> (M, n)
+    sigma_form: str = GENERAL   # LINEAR_IN_Z: sigma = A(t) z + sigma(t, x, y, 0, u)
     name: str = ""
 
     def __post_init__(self):
@@ -291,11 +289,8 @@ class ProblemSpec:
             raise ValueError("horizon_T must be positive and finite")
         if not np.isfinite(self.x0).all():
             raise ValueError("x0 must be finite")
-        if self.sigma_form == LINEAR_IN_Z and (self.A_eval is None or self.sigma1_eval is None):
-            raise ValueError("LINEAR_IN_Z requires A_eval and sigma1_eval")
-
-    def A_at(self, t):
-        return np.atleast_1d(np.asarray(self.A_eval(t), dtype=float))
+        if self.sigma_form not in (GENERAL, LINEAR_IN_Z):
+            raise ValueError(f"sigma_form must be GENERAL or LINEAR_IN_Z, got {self.sigma_form!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +326,8 @@ def _rel_mismatch(analytic, fd):
 
 def validate_spec(spec: ProblemSpec, probes: int, seed) -> ValidationReport:
     """Check analytic partials against central finite differences, the growth
-    bound, and (when declared) the linear-in-z reconstruction, at random probes.
+    bound, and (when declared) the linear-in-z form sigma_z z + sigma(z = 0),
+    at random probes.
 
     Mismatch is |analytic - fd| / max(1, |analytic|, |fd|); the pass threshold
     for first partials is 1e-4.
@@ -378,8 +374,9 @@ def validate_spec(spec: ProblemSpec, probes: int, seed) -> ValidationReport:
 
     lin_max = 0.0
     if spec.sigma_form == LINEAR_IN_Z:
-        A = spec.A_at(t)
-        rebuilt = A[None, :] * z[:, None] + _bc(spec.sigma1_eval(t, x, y, u), (M, n))
+        # sigma_z at the probes reversed: one that is not A(t) does not rebuild
+        A = spec.sigma.first("dz", t, x[::-1], y[::-1], z[::-1], u[::-1])
+        rebuilt = A * z[:, None] + spec.sigma.value(t, x, y, np.zeros(M), u)
         lin_max = float(np.abs(spec.sigma.value(t, x, y, z, u) - rebuilt).max())
         if lin_max > 1e-12:
             failures.append(f"linear-in-z reconstruction off by {lin_max:.2e}")
@@ -501,7 +498,7 @@ def benchmark_coupled_z(alpha: float, x0: float = 1.0, T: float = 1.0,
     """Fully coupled scalar benchmark with z in the diffusion:
 
         b = u - y,   sigma = alpha z + (x + u),   g = u^2/2 + x,   phi = x,
-        U = {-1, 0, 1}.
+        U = {-1, 0, 1};  LINEAR_IN_Z, so Delta reads sigma_z and sigma(z = 0).
 
     All coefficient partials are constant, so the first-order adjoint is
     deterministic: p = 1, q = 0, K1 = 1/(1 - alpha), and the second-order
@@ -550,8 +547,6 @@ def benchmark_coupled_z(alpha: float, x0: float = 1.0, T: float = 1.0,
         growth_L=10.0,
         control_set=FiniteControlSet(np.array([[-1.0], [0.0], [1.0]])),
         sigma_form=LINEAR_IN_Z,
-        A_eval=lambda t: np.array([alpha]),
-        sigma1_eval=lambda t, x, y, u: x + u[:, :1],
         name="coupled_z",
     )
     u_ref = -1.0

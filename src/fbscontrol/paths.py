@@ -165,16 +165,10 @@ class ProcessPanel:
         return np.sqrt((flat * flat).sum(axis=2))
 
     def to_csv(self, path) -> None:
-        flat = self.values.reshape(self.M, self.grid.N + 1, -1)
-        d = flat.shape[2]
-        rows = np.empty((self.M * (self.grid.N + 1), 2 + d))
-        idx = 0
-        nodes = self.grid.nodes
-        for m in range(self.M):
-            rows[idx : idx + self.grid.N + 1, 0] = m
-            rows[idx : idx + self.grid.N + 1, 1] = nodes
-            rows[idx : idx + self.grid.N + 1, 2:] = flat[m]
-            idx += self.grid.N + 1
+        flat = self.values.reshape(self.M * (self.grid.N + 1), -1)
+        d = flat.shape[1]
+        rows = np.column_stack([np.repeat(np.arange(self.M), self.grid.N + 1),
+                                np.tile(self.grid.nodes, self.M), flat])
         header = "path,t," + ",".join(f"v{j}" for j in range(d))
         np.savetxt(path, rows, delimiter=",", header=header, comments="")
 

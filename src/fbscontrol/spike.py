@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._frame import _hessian
-from .adjoint import (AdjointOpts, FirstOrderAdjoint, SecondOrderAdjoint, YhatSolution,
+from .adjoint import (FirstOrderAdjoint, SecondOrderAdjoint, YhatSolution,
                       solve_first_order_adjoint, solve_second_order_adjoint, solve_yhat)
 from .errors import InvertibilityError, NoConvergenceError
 from .fbsde import FbsdeSolution, PicardOpts, _dot, _margin_floor, solve_coupled_picard
-from .model import LINEAR_IN_Z, OpenLoopControl, ProblemSpec, tabulate_control
+from .model import LINEAR_IN_Z, OpenLoopControl, ProblemSpec
 from .paths import (SUP, INT2, BrownianBundle, MomentSpec, ProcessPanel, _norm_moments,
                     mean_stderr, node_major)
 from .regression import FP_MAX, FP_TOL, NodeBasis, _backward_regression, _fixed_point
@@ -28,9 +28,9 @@ FIXED_POINT = "FIXED_POINT"
 @dataclass
 class SpikeSpec:
     """A grid-aligned perturbation window [t0, t0 + eps) and the control applied
-    on it. ``u_value`` is a point of the control set (constant spike) or an
-    open-loop panel; ``eps`` must be a non-negative multiple of the grid
-    spacing (0 is the null spike), and the window must lie in [0, T]."""
+    on it. ``u_value`` is a control point (k,) (constant spike) or an open-loop
+    panel shaped like the reference control (else ValueError); ``eps`` must be a
+    non-negative multiple of dt (0 is the null spike), and the window in [0, T]."""
 
     t0: float
     eps: float
@@ -59,8 +59,16 @@ class SpikeSpec:
         vec = np.atleast_1d(np.asarray(self.u_value, dtype=float))
         return np.broadcast_to(vec, (M, len(vec)))
 
+    def _require_shape(self, U: np.ndarray):
+        """ValueError unless ``u_value`` fits the reference control panel U."""
+        u = self.u_value.values if isinstance(self.u_value, OpenLoopControl) else self.u_value
+        if np.shape(np.atleast_1d(u)) not in ((U.shape[2],), U.shape):
+            raise ValueError(f"spike value of shape {np.shape(u)}: pass a control point "
+                             f"({U.shape[2]},) or an open-loop panel {U.shape}")
+
     def spiked_control(self, frozen: OpenLoopControl, grid) -> OpenLoopControl:
         """u^eps: the frozen reference panel with the window values replaced."""
+        self._require_shape(frozen.values)
         values = np.copy(frozen.values)  # order K: keeps the panel layout
         M = values.shape[0]
         for i in self.window_nodes(grid):
@@ -83,21 +91,20 @@ class DeltaProcess:
 
 
 def delta_at_node(spec: ProblemSpec, state, sig_ref: np.ndarray, p_node: np.ndarray, i: int,
-                  u_vals: np.ndarray, c_min: float, force_fixed_point: bool = False):
+                  u_vals: np.ndarray, c_min: float):
     """Solve Delta = <p, sigma(t, X, Y, Z + Delta, u) - sigma(t, X, Y, Z, u_ref)>
     at node i, vectorized over the rows of the node state (t, X, Y, Z, u_ref),
     with ``sig_ref`` = sigma(t, X, Y, Z, u_ref). Returns (delta, residual,
     method, iters); the residual costs one more sigma evaluation, which the
     Hamiltonian, reading Delta alone, does not make.
 
-    Route: z-free sigma -> one-step closed form; declared linear-in-z -> exact
-    inverse; otherwise Newton steps from Delta = 0 through the package's
-    per-node fixed point (regression.FP_TOL, at most FP_MAX steps). The
-    margins of the last two routes are checked against ``c_min``, the floor
-    of the reference's first-order adjoint (``FirstOrderAdjoint.c_min``).
+    Route: z-free sigma -> one-step closed form; LINEAR_IN_Z -> the exact
+    inverse, from sigma_z and sigma at z = 0; GENERAL -> Newton steps from 0
+    through the per-node fixed point (regression.FP_TOL, at most FP_MAX steps).
+    The margins of the last two routes are checked against ``c_min``, the
+    floor of the reference's first-order adjoint (``FirstOrderAdjoint.c_min``).
     """
-    delta, method, iters = _delta(spec, state, sig_ref, p_node, i, u_vals, c_min,
-                                  force_fixed_point)
+    delta, method, iters = _delta(spec, state, sig_ref, p_node, i, u_vals, c_min)
     return delta, _delta_residual(spec, state, sig_ref, p_node, u_vals, delta), method, iters
 
 
@@ -106,41 +113,39 @@ def _delta_residual(spec, state, sig_ref, p_node, u_vals, delta):
     return delta - _dot(p_node, spec.sigma.value(t, x, y, z + delta, u_vals) - sig_ref)
 
 
-def _delta(spec, state, sig_ref, p_node, i, u_vals, c_min, force_fixed_point=False):
+def _delta(spec, state, sig_ref, p_node, i, u_vals, c_min):
     """:func:`delta_at_node`'s (delta, method, iters), without its residual."""
     t, x, y, z, u_ref = state
-    M = x.shape[0]
 
     sz_here = spec.sigma.first("dz", t, x, y, z, u_vals)
-    if not force_fixed_point and float(np.abs(sz_here).max()) == 0.0 \
+    if float(np.abs(sz_here).max()) == 0.0 \
             and float(np.abs(spec.sigma.first("dz", t, x, y, z, u_ref)).max()) == 0.0:
         return _dot(p_node, spec.sigma.value(t, x, y, z, u_vals) - sig_ref), CLOSED_FORM_SZ0, 1
 
-    if not force_fixed_point and spec.sigma_form == LINEAR_IN_Z:
-        A = np.broadcast_to(spec.A_at(t), (M, spec.n))
-        mbar = 1.0 - _dot(p_node, A)
+    if spec.sigma_form == LINEAR_IN_Z:
+        mbar = 1.0 - _dot(p_node, sz_here)
         _margin_floor(mbar, c_min, f"delta node {i}")
-        s1_new = np.asarray(spec.sigma1_eval(t, x, y, u_vals), dtype=float).reshape(M, spec.n)
-        s1_ref = np.asarray(spec.sigma1_eval(t, x, y, u_ref), dtype=float).reshape(M, spec.n)
-        return _dot(p_node, s1_new - s1_ref) / mbar, CLOSED_FORM_LINEAR, 1
+        zero = np.zeros_like(z)
+        s1 = spec.sigma.value(t, x, y, zero, u_vals) - spec.sigma.value(t, x, y, zero, u_ref)
+        return _dot(p_node, s1) / mbar, CLOSED_FORM_LINEAR, 1
 
     def newton(delta):
         slope = 1.0 - _dot(p_node, spec.sigma.first("dz", t, x, y, z + delta, u_vals))
         _margin_floor(slope, c_min, f"delta Newton node {i}")
         return delta - _delta_residual(spec, state, sig_ref, p_node, u_vals, delta) / slope
 
-    delta, iters = _fixed_point(newton, np.zeros(M), FP_TOL, FP_MAX, "delta fixed point", i)
+    delta, iters = _fixed_point(newton, np.zeros_like(z), FP_TOL, FP_MAX, "delta fixed point", i)
     return delta, FIXED_POINT, iters
 
 
 def solve_delta(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
-                spike: SpikeSpec, force_fixed_point: bool = False) -> DeltaProcess:
+                spike: SpikeSpec) -> DeltaProcess:
     """Delta panel on the spike window (exactly zero off it), with the spike
     increments of the coefficients at each window node. Margins are checked
     against ``adj1.c_min``, the floor the reference's adjoints were built
-    with; ``force_fixed_point`` takes the iterative route even where a closed
-    form applies."""
+    with; the generic (Newton) route is the spec with ``sigma_form=GENERAL``."""
     frame = adj1.frame
+    spike._require_shape(frame.U)
     grid = sol.X.grid
     M = frame.M
     delta = node_major((M, grid.N + 1))
@@ -152,7 +157,7 @@ def solve_delta(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderAdjoint,
         u_vals = spike.perturb_values(M, i)
         ref = frame.values(i)
         d, r, method, iters = delta_at_node(spec, frame.state(i), ref["s"], adj1.p_values[:, i],
-                                            i, u_vals, adj1.c_min, force_fixed_point)
+                                            i, u_vals, adj1.c_min)
         delta[:, i] = d
         resid[:, i] = r
         max_iters = max(max_iters, iters)
@@ -222,6 +227,7 @@ def simulate_variations(spec: ProblemSpec, sol: FbsdeSolution, adj1: FirstOrderA
     bundle's ``res_*`` are first read.
     """
     frame = adj1.frame
+    spike._require_shape(frame.U)
     grid = sol.X.grid
     M, N, n = frame.M, grid.N, spec.n
     dt, dB = grid.dt, sol.bundle.dB
@@ -496,7 +502,6 @@ def default_epsilon_ladder(T: float) -> list:
 def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
                          eps_ladder=None, betas=(2.0, 4.0), spike_at: float = None,
                          spike_value=1.0, picard: PicardOpts = None,
-                         adjoint_opts: AdjointOpts = None,
                          reference: FbsdeSolution = None,
                          adjoints=None) -> OrderReport:
     """Solve the spiked system over an epsilon ladder under common random
@@ -511,8 +516,8 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
     Precomputed reference solutions/adjoints may be passed to share work across
     experiments; epsilon entries whose solves fail (no convergence or an
     invertibility guard) are flagged and excluded from the slope fits.
-    ``adjoint_opts`` builds the adjoints only when ``adjoints`` is not given;
-    either way each rung's Delta checks its margins against ``adj1.c_min``.
+    Missing adjoints are built with the default ``AdjointOpts()``; each rung's
+    Delta checks its margins against ``adj1.c_min`` and spikes ``adj1.frame.U``.
     """
     grid = bundle.grid
     if eps_ladder is None:
@@ -521,16 +526,14 @@ def run_order_experiment(spec: ProblemSpec, control, bundle: BrownianBundle,
         spike_at = grid.T / 4.0
     if picard is None:
         picard = PicardOpts()
-    if adjoint_opts is None:
-        adjoint_opts = AdjointOpts()
 
     sol = reference if reference is not None else solve_coupled_picard(spec, control, bundle, picard)
     if adjoints is not None:
         adj1, adj2 = adjoints
     else:
-        adj1 = solve_first_order_adjoint(spec, sol, control, adjoint_opts)
+        adj1 = solve_first_order_adjoint(spec, sol, control)
         adj2 = solve_second_order_adjoint(spec, sol, adj1)
-    frozen = tabulate_control(control, sol.X.values, grid)
+    frozen = OpenLoopControl(adj1.frame.U)
 
     # norm_specs maps each panel to its (norm name, moment) pairs, one per beta,
     # so that each panel's norms are computed once per rung

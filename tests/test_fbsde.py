@@ -1022,3 +1022,19 @@ def test_linear_rejects_nonfinite_coefficients():
                         L1=np.zeros((4, 9, 1)), L2=np.zeros((4, 9, 1)), L3=np.zeros((4, 9)),
                         kappa=np.array([0.0]), varsigma=np.zeros(4), x0=np.array([0.0]),
                         cond=np.zeros((4, 9, 1)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cond", lambda b: b.levels()[:40, :, None]),   # 40 of 50 paths
+    ("cond", lambda b: b.levels()[:, :5, None]),    # 5 of 9 nodes
+    ("cond", lambda b: b.levels()[:, 0]),           # one dimension
+    ("x0", lambda b: np.array([1.0, 2.0])),         # two entries for n = 1
+], ids=["cond_paths", "cond_nodes", "cond_1d", "x0_length"])
+def test_linear_spec_rejects_a_field_of_the_wrong_shape(field, value):
+    # each used to pass construction and fail later, untyped: a matmul
+    # ValueError or an IndexError in solve_decoupling, a broadcast in the solve
+    grid = fc.TimeGrid(1.0, 8)
+    bundle = fc.sample_brownian(grid, 50, fc.SeedSpec(19))
+    s = linear_spec(grid, 50, bundle)
+    with pytest.raises(ValueError, match=f"field {field}"):
+        replace(s, **{field: value(bundle)})

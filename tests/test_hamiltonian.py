@@ -112,7 +112,7 @@ def test_mp_single_point_control_set(cz_small):
         n=1, horizon_T=1.0, x0=spec.x0, b=spec.b, sigma=spec.sigma, g=spec.g,
         phi=spec.phi, growth_L=spec.growth_L,
         control_set=fc.FiniteControlSet(np.array([[-1.0]])),
-        sigma_form=spec.sigma_form, A_eval=spec.A_eval, sigma1_eval=spec.sigma1_eval)
+        sigma_form=spec.sigma_form)
     rep = fc.check_maximum_principle(spec_single, bench.optimal_control, sol, adj1, adj2,
                                      fc.MpOpts(n_nodes=8))
     assert rep.passed
@@ -218,3 +218,13 @@ def test_mp_check_needs_a_node(lq_small):
         with pytest.raises(ValueError, match="n_nodes"):
             fc.check_maximum_principle(bench.spec, bench.optimal_control, sol, adj1, adj2,
                                        fc.MpOpts(n_nodes=n_nodes))
+
+
+def test_mp_z_threshold_is_a_constant():
+    # no caller ever set the threshold, and a NaN one turned every verdict into FAIL
+    assert fc.MpOpts().z_threshold == -3.0
+    assert fc.MpOpts.z_threshold == -3.0
+    with pytest.raises(TypeError):
+        fc.MpOpts(z_threshold=-2)
+    with pytest.raises(ValueError, match="n_nodes"):
+        fc.MpOpts(n_nodes=0)

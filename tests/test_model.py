@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,35 @@ def test_control_sets():
     samples = real.sample(rng, 20)
     assert samples.shape == (20, 1)
     assert samples.min() >= -2 and samples.max() <= 2
+
+
+@pytest.mark.parametrize("fn, dx, dz", [
+    (lambda t, x, y, z, u: x * z[:, None] + u[:, :1],
+     lambda t, x, y, z, u: z[:, None, None], lambda t, x, y, z, u: x.copy()),
+    (lambda t, x, y, z, u: 0.2 * np.sin(z)[:, None] + u[:, :1],
+     lambda t, x, y, z, u: np.zeros((x.shape[0], 1, 1)),
+     lambda t, x, y, z, u: 0.2 * np.cos(z)[:, None]),
+    (lambda t, x, y, z, u: u[:, :1] * z[:, None] + x,
+     lambda t, x, y, z, u: np.ones((x.shape[0], 1, 1)), lambda t, x, y, z, u: u[:, :1].copy()),
+], ids=["x_z_plus_u", "sin_z_plus_u", "u_z_plus_x"])
+def test_validate_flags_a_sigma_that_is_not_linear_in_z(fn, dx, dz):
+    # LINEAR_IN_Z declares sigma = A(t) z + sigma(t, x, y, 0, u), which validate_spec
+    # rebuilds from sigma alone; a z-coefficient that reads the state or the
+    # control, or a sigma that is not affine in z, does not rebuild; the LQ
+    # spec's controls spread over [-3, 3]
+    zv = lambda t, x, y, z, u: np.zeros_like(x)
+    spec = replace(fc.benchmark_lq().spec, sigma=Coefficient(fn, dx, zv, dz),
+                   sigma_form=fc.LINEAR_IN_Z)
+    rep = fc.validate_spec(spec, 200, fc.SeedSpec(3))
+    assert max(rep.first_order_mismatch.values()) <= 1e-4
+    assert rep.linear_reconstruction_max > 1.0
+    assert any("linear-in-z" in f for f in rep.failures)
+
+
+def test_problem_spec_rejects_an_unknown_sigma_form():
+    # the lower-case spelling used to pass and silently take the generic route
+    spec = fc.benchmark_coupled_z(0.1).spec
+    for form in ("linear_in_z", "LINEAR"):
+        with pytest.raises(ValueError, match="sigma_form"):
+            replace(spec, sigma_form=form)
+    assert replace(spec, sigma_form=fc.GENERAL).sigma_form == fc.GENERAL

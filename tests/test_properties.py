@@ -1,4 +1,7 @@
-"""Property tests over random constant-coefficient linear FBSDEs."""
+"""Property tests over random constant-coefficient linear FBSDEs and random
+diffusions that are linear in z."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 import fbscontrol as fc
 from fbscontrol.errors import InvertibilityError
 from fbscontrol.fbsde import LinearFbsdeSpec, solve_decoupling, solve_linear_fbsde
+from fbscontrol.model import Coefficient
+from fbscontrol.spike import delta_at_node
 
 C_MIN = 0.1
 GRID = fc.TimeGrid(1.0, 16)
@@ -64,3 +69,29 @@ def test_random_linear_fbsde(system, off_one):
     bad = dict(coef, kappa=kappa, c2=(1.0 + off_one) * kappa / (kappa @ kappa))
     with pytest.raises(InvertibilityError):
         solve_decoupling(build(n, bad, *fa), BUNDLE, c_min=C_MIN)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.floats(-3.0, 3.0).filter(lambda a: abs(1.0 - a) >= C_MIN),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_linear_in_z_declaration_needs_only_sigma(a, b, c):
+    # sigma = a z + b x + c u declared LINEAR_IN_Z with nothing else: validate_spec
+    # rebuilds it from sigma, and Delta's closed form (from sigma_z and sigma at
+    # z = 0) agrees with the GENERAL spec's Newton route
+    zv = lambda t, x, y, z, u: np.zeros_like(x)
+    sigma = Coefficient(lambda t, x, y, z, u: a * z[:, None] + b * x + c * u[:, :1],
+                        lambda t, x, y, z, u: np.full((x.shape[0], 1, 1), b), zv,
+                        lambda t, x, y, z, u: np.full_like(x, a))
+    spec = replace(fc.benchmark_lq().spec, sigma=sigma, sigma_form=fc.LINEAR_IN_Z)
+    rep = fc.validate_spec(spec, 200, fc.SeedSpec(3))
+    assert rep.passed, rep.failures
+    rng = np.random.Generator(np.random.Philox(key=[3, 3]))
+    x, (y, z) = rng.normal(size=(50, 1)), rng.normal(size=(2, 50))
+    u_ref, u_new = rng.uniform(-3.0, 3.0, size=(2, 50, 1))
+    state, p = (0.5, x, y, z, u_ref), np.ones((50, 1))
+    sig_ref = sigma.value(0.5, x, y, z, u_ref)
+    closed = delta_at_node(spec, state, sig_ref, p, 0, u_new, C_MIN)
+    newton = delta_at_node(replace(spec, sigma_form=fc.GENERAL), state, sig_ref, p, 0, u_new, C_MIN)
+    if a != 0.0:
+        assert (closed[2], newton[2]) == ("CLOSED_FORM_LINEAR", "FIXED_POINT")
+    assert np.abs(closed[0] - newton[0]).max() <= 1e-10

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -64,7 +65,7 @@ def test_delta_closed_form_vs_fixed_point(cz_small):
     bench, _, sol, adj1, _ = cz_small
     spike = fc.SpikeSpec(0.25, 0.25, 1.0)
     d_closed = fc.solve_delta(bench.spec, sol, adj1, spike)
-    d_fp = fc.solve_delta(bench.spec, sol, adj1, spike, force_fixed_point=True)
+    d_fp = fc.solve_delta(dataclasses.replace(bench.spec, sigma_form=fc.GENERAL), sol, adj1, spike)
     assert d_closed.method == "CLOSED_FORM_LINEAR"
     assert d_fp.method == "FIXED_POINT"
     gap = np.abs(d_closed.panel.values - d_fp.panel.values).max()
@@ -447,3 +448,41 @@ def test_lq_first_order_variation_vanishes(lq_small):
     var = fc.simulate_variations(bench.spec, sol, adj1, adj2, spike, delta)
     assert np.all(var.X1.values == 0.0)
     assert np.all(var.Y1.values == 0.0)
+
+
+def test_spike_value_of_another_control_dimension_is_rejected(lq_small):
+    # LQ has k = 1: b read u[:, :1], so the 5.0 of [1.0, 5.0] was silently
+    # dropped, and a spiked control failed later on an untyped broadcast
+    bench, bundle, sol, adj1, adj2 = lq_small
+    grid, M = sol.X.grid, bundle.M
+    frozen = fc.tabulate_control(bench.optimal_control, sol.X.values, grid)
+    good = fc.SpikeSpec(0.25, 0.125, 1.0)
+    delta = fc.solve_delta(bench.spec, sol, adj1, good)
+    for value in ([1.0, 5.0], fc.OpenLoopControl(np.ones((M, grid.N + 1, 2)))):
+        spike = fc.SpikeSpec(0.25, 0.125, value)
+        with pytest.raises(ValueError, match=r"control point \(1,\)"):
+            fc.solve_delta(bench.spec, sol, adj1, spike)
+        with pytest.raises(ValueError, match=r"control point \(1,\)"):
+            fc.simulate_variations(bench.spec, sol, adj1, adj2, spike, delta)
+        with pytest.raises(ValueError, match=r"control point \(1,\)"):
+            spike.spiked_control(frozen, grid)
+    with pytest.raises(ValueError, match=r"control point \(1,\)"):
+        fc.run_order_experiment(bench.spec, bench.optimal_control, bundle, eps_ladder=[0.125],
+                                spike_value=[1.0, 5.0], reference=sol, adjoints=(adj1, adj2))
+
+
+class _Unreadable(fc.ControlLaw):
+    k = 1
+
+    def values_at(self, i, t, x):
+        raise AssertionError("the control law was evaluated")
+
+
+def test_order_experiment_with_its_stack_evaluates_no_control(cz_small):
+    # given the reference and its adjoints, each rung spikes adj1.frame.U, the
+    # control the adjoints were tabulated along, and never reads the law
+    bench, bundle, sol, adj1, adj2 = cz_small
+    kw = dict(eps_ladder=[0.125, 0.0625], betas=(2.0,), reference=sol, adjoints=(adj1, adj2))
+    real = fc.run_order_experiment(bench.spec, bench.optimal_control, bundle, **kw)
+    blind = fc.run_order_experiment(bench.spec, _Unreadable(), bundle, **kw)
+    assert json.dumps(blind.to_dict(), sort_keys=True) == json.dumps(real.to_dict(), sort_keys=True)
